@@ -10,7 +10,7 @@ exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, binomial, falling_factorial
@@ -340,14 +340,8 @@ def asymptotic_report(
                 name: log_integer(getattr(counts, name))
                 for name in ("s", "t", "u", "v", "l")
             }
-            row = ReportRow(
-                n=n,
-                bell_source=source,
-                log_bell_2n=log_b,
-                est_st=est_st,
-                est_uvl=est_uvl,
-                est_saddle=est_saddle,
-                saddle_blocks=row.saddle_blocks,
+            row = replace(
+                row,
                 log_s=logs["s"],
                 log_t=logs["t"],
                 log_u=logs["u"],

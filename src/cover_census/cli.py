@@ -137,14 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 def _usage_error(message: str) -> int:
     print(f"cover-census: error: {message}", file=sys.stderr)
     return 2
@@ -198,7 +190,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         text = _table_to_csv(table)
     else:
         text = _table_to_json(table, {"max_n": args.max_n, "format": args.format})
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {args.out}: {exc.strerror or exc}")
     return 0
 
 
@@ -243,7 +242,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         text = _report_to_csv(report)
     else:
         text = _report_to_json(report, params)
-    _emit(text, None)
+    sys.stdout.write(text)
     for check in ratio_trends(report):
         status = "PASS" if check.improved else "WARN"
         print(
@@ -331,7 +330,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         lines,
     )
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", None)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -411,7 +410,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     payload = {"command": "sample", "params": params, "rows": [record]}
-    _emit(json.dumps(payload, indent=2) + "\n", None)
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     if z_score is not None and abs(z_score) > 4:
         return 1
     return 0

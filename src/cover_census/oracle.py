@@ -244,19 +244,6 @@ def _check_oracle_size(n: int, limit: int | None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _scan_twins(n: int) -> tuple[int, ...]:
-    """Histogram of merged-twin counts over all partitions of [2n]."""
-    histogram = [0] * (n + 1)
-    for labels in _iter_rgs(2 * n):
-        merged = 0
-        for j in range(n):
-            if labels[j] == labels[j + n]:
-                merged += 1
-        histogram[merged] += 1
-    return tuple(histogram)
-
-
-@lru_cache(maxsize=None)
 def _full_scan(
     n: int,
 ) -> tuple[tuple[int, ...], int, int, tuple[int, ...], dict[tuple[int, ...], int]]:
@@ -266,36 +253,69 @@ def _full_scan(
     collision histogram over separated partitions, fiber map from folded
     cover to preimage count).  The fiber map keys are sorted tuples of
     block bit masks; treat the cached dict as read-only.
+
+    The scan is one depth-first walk over the restricted growth strings of
+    [2n] that keeps the folded bit mask of every open block up to date in
+    place.  Elements 1..n are placed first: each ORs its bit into an
+    existing block or opens a new one.  Then the twins n+1..2n are placed:
+    a twin in its partner's block leaves the mask unchanged and adds one to
+    the running merged-pair count; anywhere else it ORs in its partner's
+    bit.  Every change is undone on the way back up, so a leaf only has to
+    count its distinct masks and, when separated, sort them into the fiber
+    key.  ``enumerate_partitions`` with ``classify_partition`` is the
+    independent, set-based route that checks this walk.
     """
-    size = 2 * n
     twin_histogram = [0] * (n + 1)
-    separated = 0
-    image_distinct = 0
     collision_histogram = [0] * (n + 1)
     fibers: dict[tuple[int, ...], int] = {}
-    for labels in _iter_rgs(size):
-        merged = 0
-        for j in range(n):
-            if labels[j] == labels[j + n]:
-                merged += 1
-        twin_histogram[merged] += 1
-        block_count = max(labels) + 1 if size else 0
-        masks = [0] * block_count
-        for j in range(n):
-            bit = 1 << j
-            masks[labels[j]] |= bit
-            masks[labels[j + n]] |= bit
-        collisions = block_count - len(set(masks))
-        if collisions == 0:
-            image_distinct += 1
-        if merged == 0:
-            separated += 1
-            collision_histogram[collisions] += 1
-            key = tuple(sorted(masks))
-            fibers[key] = fibers.get(key, 0) + 1
+    image_distinct = 0
+    masks: list[int] = []
+    owner = [0] * n
+
+    def place(j: int) -> None:
+        if j == n:
+            place_twin(0, 0)
+            return
+        bit = 1 << j
+        for b in range(len(masks)):
+            masks[b] |= bit
+            owner[j] = b
+            place(j + 1)
+            masks[b] ^= bit
+        owner[j] = len(masks)
+        masks.append(bit)
+        place(j + 1)
+        masks.pop()
+
+    def place_twin(j: int, merged: int) -> None:
+        nonlocal image_distinct
+        if j == n:
+            twin_histogram[merged] += 1
+            collisions = len(masks) - len(set(masks))
+            if collisions == 0:
+                image_distinct += 1
+            if merged == 0:
+                collision_histogram[collisions] += 1
+                key = tuple(sorted(masks))
+                fibers[key] = fibers.get(key, 0) + 1
+            return
+        bit = 1 << j
+        own = owner[j]
+        for b in range(len(masks)):
+            if b == own:
+                place_twin(j + 1, merged + 1)
+            else:
+                masks[b] |= bit
+                place_twin(j + 1, merged)
+                masks[b] ^= bit
+        masks.append(bit)
+        place_twin(j + 1, merged)
+        masks.pop()
+
+    place(0)
     return (
         tuple(twin_histogram),
-        separated,
+        twin_histogram[0],
         image_distinct,
         tuple(collision_histogram),
         fibers,
@@ -309,7 +329,7 @@ def merged_twin_histogram(n: int, *, limit: int | None = None) -> tuple[int, ...
     entry 0 is the number of separated partitions.
     """
     _check_oracle_size(n, limit)
-    return _scan_twins(n)
+    return _full_scan(n)[0]
 
 
 def _mask_block(mask: int, n: int) -> tuple[int, ...]:

@@ -99,6 +99,16 @@ class TestTableCommand:
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8") == GOLDEN_TABLE_3
 
+    def test_out_unwritable_path_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert main(["table", "--max-n", "3", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cover-census: error: cannot write {target}: No such file or directory\n"
+        )
+        assert not target.exists()
+
     def test_max_n_above_bell_cap(self, capsys):
         assert main(["table", "--max-n", "513"]) == 2
         assert "cap" in capsys.readouterr().err

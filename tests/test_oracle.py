@@ -6,6 +6,7 @@ census against a second, structurally unrelated enumeration that builds
 down both.
 """
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from cover_census.oracle import (
     OracleCensus,
     SetPartition,
     TwoCover,
+    _full_scan,
     classify_partition,
     enumerate_partitions,
     fiber_check,
@@ -159,12 +161,13 @@ class TestFolding:
         with pytest.raises(ValueError):
             classify_partition(SetPartition(3, (0, 0, 1)), 2)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_classification_agrees_with_census(self, n):
         census = oracle_counts(n)
         separated = image_distinct = 0
         twin_hist = [0] * (n + 1)
-        covers = set()
+        collision_hist = [0] * (n + 1)
+        fibers = Counter()
         for p in enumerate_partitions(2 * n):
             c = classify_partition(p, n)
             assert c.merged_twin_count == merged_twin_count(p.rgs, n)
@@ -174,13 +177,26 @@ class TestFolding:
             image_distinct += c.image_distinct
             if c.separated:
                 assert c.cover is not None
-                covers.add(c.cover)
+                collision_hist[c.collision_count] += 1
+                fibers[c.cover] += 1
             else:
                 assert c.cover is None
         assert separated == census.separated
         assert image_distinct == census.image_distinct
         assert tuple(twin_hist) == census.merged_twin_histogram
-        assert len(covers) == census.s
+        assert tuple(collision_hist) == census.collision_histogram
+        assert collision_hist[0] == census.separated_image_distinct
+        assert len(fibers) == census.s
+        # The walk's fiber map, leaf by leaf: every folded cover with its
+        # preimage count, keys turned from bit masks back into blocks.
+        scanned = {
+            TwoCover.from_blocks(
+                n,
+                [[j + 1 for j in range(n) if (mask >> j) & 1] for mask in key],
+            ): count
+            for key, count in _full_scan(n)[4].items()
+        }
+        assert fibers == scanned
 
 
 class TestOracleCensus:
