@@ -336,13 +336,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _sample_exact(args: argparse.Namespace, limit: int) -> Fraction | None:
     if args.stat == "p-x0":
-        if 2 * args.n <= DEFAULT_BELL_CAP:
-            return separation_probability(args.n)
-        return None
+        return separation_probability(args.n)
     if args.stat == "moment":
-        if 2 * args.n <= DEFAULT_BELL_CAP:
-            return merged_twin_moment(args.n, args.r)
-        return None
+        return merged_twin_moment(args.n, args.r)
     if args.n <= limit:
         census = oracle_counts(args.n, limit=limit)
         return Fraction(census.bell_2n - census.image_distinct, census.bell_2n)
@@ -355,6 +351,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             return _usage_error("--stat moment requires --r")
         if args.r > args.n:
             return _usage_error(f"--r must be <= --n, got r={args.r}, n={args.n}")
+    if 2 * args.n > DEFAULT_BELL_CAP:
+        return _usage_error(
+            f"--n {args.n} needs partitions of [{2 * args.n}], "
+            f"above the Bell cap {DEFAULT_BELL_CAP}"
+        )
     try:
         limit = _oracle_limit()
         config = SamplerConfig(trials=args.trials, seed=args.seed)

@@ -8,13 +8,16 @@ Uniformity rests on exact integer weights: the block containing the
 smallest remaining element has size k with probability
 C(M-1, k-1) B_{M-k} / B_M among M remaining elements, and the size is
 selected by inverting a uniform big-integer draw in [0, B_M), so no
-floating-point rounding can bias the distribution.
+floating-point rounding can bias the distribution.  The inversion bisects
+cached prefix sums of those exact weights; it returns the k a linear scan
+of the weights would, so the random stream and every draw are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,10 +28,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix_seed(seed: int, index: int) -> int:
-    """Derive the per-chunk seed: one splitmix64 output at the given index.
+    """Derive stream ``index`` of a base seed: one splitmix64 output.
 
-    Worker chunk i draws from stream i of the base seed, which makes
-    multi-worker runs reproducible for a fixed worker count.
+    Estimators draw from stream 0; the mixing gives nearby base seeds
+    well-separated generator states.
     """
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -38,19 +41,16 @@ def _mix_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Trial count, base seed, and worker chunking for one estimation run."""
+    """Trial count and base seed for one estimation run."""
 
     trials: int
     seed: int
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,32 @@ class Estimate:
     statistic: str
     trials: int
     seed: int
-    workers: int
     estimate: float
     std_error: float
+
+
+# Prefix sums of the block-size weights C(m-1, k-1) B_{m-k}, k = 1, 2, ...,
+# for m remaining elements.  Each list grows only as far as a draw has needed,
+# which keeps the cache small: the full lists up to m = 200 would hold about
+# 20k big integers.
+_cumulative: dict[int, list[int]] = {}
+
+
+def _block_size(m: int, draw: int) -> int:
+    """Return the size of the block holding the smallest of m elements.
+
+    ``draw`` lies in [0, B_m); the size is the least k whose cumulative
+    weight exceeds it, which is what a linear scan of the weights returns.
+    """
+    # B_m has already passed the caller's cap, so every B_{m-k} is in the
+    # table and ``cap=m`` cannot reject it.
+    cum = _cumulative.get(m)
+    if cum is None:
+        cum = _cumulative[m] = [bell(m - 1, cap=m)]
+    while draw >= cum[-1]:
+        k = len(cum) + 1
+        cum.append(cum[-1] + binomial(m - 1, k - 1) * bell(m - k, cap=m))
+    return bisect_right(cum, draw) + 1
 
 
 def sample_partition(
@@ -78,47 +101,28 @@ def sample_partition(
     next_label = 0
     while remaining:
         m = len(remaining)
-        draw = rng.randrange(bell(m, cap=bell_cap))
-        k = 1
-        while True:
-            weight = binomial(m - 1, k - 1) * bell(m - k, cap=bell_cap)
-            if draw < weight:
-                break
-            draw -= weight
-            k += 1
-        members = [remaining[0]]
+        k = _block_size(m, rng.randrange(bell(m, cap=bell_cap)))
+        labels[remaining.pop(0) - 1] = next_label
         if k > 1:
-            members.extend(rng.sample(remaining[1:], k - 1))
-        for element in members:
-            labels[element - 1] = next_label
+            for element in rng.sample(remaining, k - 1):
+                labels[element - 1] = next_label
+                del remaining[bisect_left(remaining, element)]
         next_label += 1
-        chosen = set(members)
-        remaining = [e for e in remaining if e not in chosen]
     return SetPartition(size, tuple(labels))
-
-
-def _chunk_sizes(trials: int, workers: int) -> list[int]:
-    base, extra = divmod(trials, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
 def _run_trials(
     n: int, config: SamplerConfig, value: Callable[[Sequence[int]], int]
 ) -> tuple[int, int]:
-    """Sum the statistic and its square over all chunks, exactly.
-
-    Integer accumulators merge associatively, so the result depends on the
-    seed and worker count but not on any scheduling order.
-    """
+    """Sum the statistic and its square over all trials, exactly."""
     size = 2 * n
+    rng = random.Random(_mix_seed(config.seed, 0))
     total = 0
     total_squares = 0
-    for index, chunk in enumerate(_chunk_sizes(config.trials, config.workers)):
-        rng = random.Random(_mix_seed(config.seed, index))
-        for _ in range(chunk):
-            x = value(sample_partition(size, rng).rgs)
-            total += x
-            total_squares += x * x
+    for _ in range(config.trials):
+        x = value(sample_partition(size, rng).rgs)
+        total += x
+        total_squares += x * x
     return total, total_squares
 
 
@@ -135,7 +139,6 @@ def _indicator_estimate(
         statistic=statistic,
         trials=config.trials,
         seed=config.seed,
-        workers=config.workers,
         estimate=p,
         std_error=math.sqrt(p * (1.0 - p) / config.trials),
     )
@@ -180,7 +183,6 @@ def estimate_twin_moment(n: int, r: int, config: SamplerConfig) -> Estimate:
         statistic="moment",
         trials=trials,
         seed=config.seed,
-        workers=config.workers,
         estimate=mean,
         std_error=std_error,
     )

@@ -291,7 +291,9 @@ class TestSampleCommand:
             ["sample", "--n", "600", "--stat", "p-x0", "--trials", "1", "--seed", "1"]
         )
         assert code == 2
-        assert "cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--n 600" in err
+        assert "cap" in err
 
     def test_zero_n_rejected_by_parser(self):
         result = run_cli(

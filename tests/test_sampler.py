@@ -1,21 +1,23 @@
 """Tests for the exact-weight partition sampler and its estimators."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 import scipy.stats
-from hypothesis import given
-from hypothesis import strategies as st
 
+from cover_census import sampler
 from cover_census.asymptotics import merged_twin_moment, separation_probability
-from cover_census.combinatorics import bell
+from cover_census.cli import main
+from cover_census.combinatorics import bell, binomial
 from cover_census.oracle import SetPartition, oracle_counts
 from cover_census.sampler import (
     Estimate,
     SamplerConfig,
-    _chunk_sizes,
+    _block_size,
     _mix_seed,
     estimate_collision_probability,
     estimate_separation_probability,
@@ -80,6 +82,85 @@ class TestSamplePartition:
         assert abs(hits / trials - expected) < 4 * error
 
 
+def _linear_block_size(m, draw):
+    """Reference: scan the exact weights C(m-1, k-1) B_{m-k} in order."""
+    k = 1
+    while True:
+        weight = binomial(m - 1, k - 1) * bell(m - k)
+        if draw < weight:
+            return k
+        draw -= weight
+        k += 1
+
+
+class TestBlockSize:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_cumulative", {})
+
+    def test_full_prefix_sums_end_at_bell(self):
+        for m in range(1, 31):
+            assert _block_size(m, bell(m) - 1) == m
+            cumulative = sampler._cumulative[m]
+            assert len(cumulative) == m
+            assert cumulative[-1] == bell(m)
+
+    def test_matches_linear_search_for_every_draw(self):
+        for m in range(1, 9):
+            for draw in range(bell(m)):
+                assert _block_size(m, draw) == _linear_block_size(m, draw)
+
+    @pytest.mark.parametrize("m", [50, 100, 200])
+    def test_boundary_draws_in_and_out_of_order(self, m):
+        weights = [binomial(m - 1, k - 1) * bell(m - k) for k in range(1, m + 1)]
+        cumulative = list(accumulate(weights))
+        cases = [(0, 1), (cumulative[-1] - 1, m)]
+        for i in range(m - 1):
+            cases += [(cumulative[i] - 1, i + 1), (cumulative[i], i + 2)]
+        shuffled = cases[:]
+        random.Random(SEED).shuffle(shuffled)
+        for order in (shuffled, sorted(cases)):
+            sampler._cumulative.clear()
+            for draw, k in order:
+                assert _block_size(m, draw) == k
+            assert sampler._cumulative[m] == cumulative
+
+
+class TestStream:
+    """Pin the random stream: a faster sampler must draw the same partitions."""
+
+    def test_draws_are_pinned(self):
+        rng = random.Random(SEED)
+        small = [sample_partition(12, rng).rgs for _ in range(2000)]
+        big = [sample_partition(200, rng).rgs for _ in range(20)]
+        digest = hashlib.sha256(repr((small, big)).encode()).hexdigest()
+        assert digest == (
+            "ad499dafad1ac346c38b87598d9eca0d639841ededaaf4f6387a445185af054d"
+        )
+
+    @pytest.mark.parametrize(
+        "n, trials, expected",
+        [
+            (
+                6,
+                25_000,
+                "21ba782ac169183cff921ee9d79f9dbf51266fadf944460ca34d2311ff3a8d61",
+            ),
+            (
+                100,
+                1_000,
+                "00f95f1c78270cca2859f4e447f68c29cd1d52a99ead1e31e264669dbbc5e4df",
+            ),
+        ],
+        ids=["n6", "n100"],
+    )
+    def test_cli_stdout_is_pinned(self, capsys, n, trials, expected):
+        argv = ["sample", "--n", str(n), "--stat", "p-x0"]
+        assert main(argv + ["--trials", str(trials), "--seed", "1"]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == expected
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,19 +169,10 @@ class TestConfig:
             SamplerConfig(trials=10, seed=-1)
         with pytest.raises(ValueError):
             SamplerConfig(trials=10, seed=1 << 64)
-        with pytest.raises(ValueError):
-            SamplerConfig(trials=10, seed=1, workers=0)
 
     def test_defaults(self):
         config = SamplerConfig(trials=10, seed=(1 << 64) - 1)
-        assert config.workers == 1
-
-    @given(st.integers(1, 500), st.integers(1, 16))
-    def test_chunks_partition_the_trials(self, trials, workers):
-        chunks = _chunk_sizes(trials, workers)
-        assert len(chunks) == workers
-        assert sum(chunks) == trials
-        assert max(chunks) - min(chunks) <= 1
+        assert config.seed == (1 << 64) - 1
 
     def test_mixed_seeds_distinct(self):
         mixed = {_mix_seed(SEED, index) for index in range(2000)}
@@ -116,7 +188,6 @@ class TestEstimators:
         assert result.n == 2
         assert result.trials == 20_000
         assert result.seed == SEED
-        assert result.workers == 1
         exact = float(separation_probability(2))
         assert abs(result.estimate - exact) < 4 * result.std_error
         assert result.std_error == pytest.approx(
@@ -155,17 +226,6 @@ class TestEstimators:
         first = estimate_separation_probability(2, config)
         second = estimate_separation_probability(2, config)
         assert first == second
-
-    def test_worker_count_changes_stream_but_stays_deterministic(self):
-        solo = SamplerConfig(trials=3_000, seed=SEED, workers=1)
-        split = SamplerConfig(trials=3_000, seed=SEED, workers=3)
-        a = estimate_separation_probability(2, split)
-        b = estimate_separation_probability(2, split)
-        assert a == b
-        assert a.workers == 3
-        exact = float(separation_probability(2))
-        for result in (a, estimate_separation_probability(2, solo)):
-            assert abs(result.estimate - exact) < 4 * result.std_error
 
     def test_domain_checks(self):
         config = SamplerConfig(trials=10, seed=SEED)
