@@ -15,9 +15,10 @@ from fractions import Fraction
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, binomial, falling_factorial
 from .errors import ConsistencyError
-from .sequences import SequenceTable, full_table
+from .sequences import full_table
 
-DEFAULT_W_TOLERANCE = 1e-12
+_W_TOLERANCE = 1e-12
+_W_MAX_ITERATIONS = 50
 
 _LOG2 = math.log(2.0)
 
@@ -37,12 +38,7 @@ class WValue:
     residual: float
 
 
-def lambert_w(
-    t: float,
-    *,
-    tolerance: float = DEFAULT_W_TOLERANCE,
-    max_iterations: int = 50,
-) -> WValue:
+def lambert_w(t: float) -> WValue:
     """Solve w * e^w = t on the principal branch by Halley iteration.
 
     The initial guess is log t - log log t for t >= e and t itself below,
@@ -56,26 +52,17 @@ def lambert_w(
         w = log_t - math.log(log_t)
     else:
         w = t
-    for _ in range(max_iterations):
+    for _ in range(_W_MAX_ITERATIONS):
         ew = math.exp(w)
         residual = w * ew - t
-        if abs(residual) <= tolerance * t:
+        if abs(residual) <= _W_TOLERANCE * t:
             return WValue(t=t, w=w, residual=abs(residual) / t)
         derivative = ew * (w + 1.0)
         w -= residual / (derivative - (w + 2.0) * residual / (2.0 * w + 2.0))
     raise ArithmeticError(
-        f"lambert_w({t}) did not reach residual {tolerance} in"
-        f" {max_iterations} iterations"
+        f"lambert_w({t}) did not reach residual {_W_TOLERANCE} in"
+        f" {_W_MAX_ITERATIONS} iterations"
     )
-
-
-def lambert_w_expansion(t: float) -> float:
-    """Three-term large-t expansion log t - log log t + log log t / log t."""
-    if t <= math.e:
-        raise ValueError(f"lambert_w_expansion() needs t > e, got {t}")
-    log_t = math.log(t)
-    log_log_t = math.log(log_t)
-    return log_t - log_log_t + log_log_t / log_t
 
 
 def log_integer(x: int) -> float:
@@ -158,7 +145,7 @@ def log_saddle_estimate(n: int, log_bell_2n: float) -> float:
     return log_bell_2n - n * _LOG2 - ratio - ratio * ratio
 
 
-def merged_twin_moment(n: int, r: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+def merged_twin_moment(n: int, r: int) -> Fraction:
     """r-th falling-factorial moment of the merged-twin count.
 
     For a uniform partition of [2n], the count X of twin pairs sharing a
@@ -169,12 +156,12 @@ def merged_twin_moment(n: int, r: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> F
     if r > n:
         return Fraction(0)
     return Fraction(
-        falling_factorial(n, r) * bell(2 * n - r, cap=bell_cap),
-        bell(2 * n, cap=bell_cap),
+        falling_factorial(n, r) * bell(2 * n - r),
+        bell(2 * n),
     )
 
 
-def separation_probability(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+def separation_probability(n: int) -> Fraction:
     """Exact probability that a uniform partition of [2n] is separated.
 
     By inclusion-exclusion over merged twin pairs this is the alternating
@@ -185,9 +172,9 @@ def separation_probability(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> Fract
         raise ValueError(f"separation_probability() needs n >= 0, got {n}")
     total = Fraction(0)
     for r in range(n + 1):
-        term = merged_twin_moment(n, r, bell_cap=bell_cap) / math.factorial(r)
+        term = merged_twin_moment(n, r) / math.factorial(r)
         total += -term if r % 2 else term
-    scaled = total * bell(2 * n, cap=bell_cap)
+    scaled = total * bell(2 * n)
     if scaled.denominator != 1 or not 0 <= total <= 1:
         raise ConsistencyError(
             f"separation probability at n={n} is not a count fraction: {total}"
@@ -195,15 +182,15 @@ def separation_probability(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> Fract
     return total
 
 
-def separation_ratio(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> float:
+def separation_ratio(n: int) -> float:
     """Exact separation probability over its limit shape sqrt(log n / (2n))."""
     if n < 2:
         raise ValueError(f"separation_ratio() needs n >= 2, got {n}")
-    probability = separation_probability(n, bell_cap=bell_cap)
+    probability = separation_probability(n)
     return float(probability) / math.sqrt(math.log(n) / (2.0 * n))
 
 
-def image_collision_bound(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> Fraction:
+def image_collision_bound(n: int) -> Fraction:
     """Union-style upper bound on the probability of a folded-block collision.
 
     Two blocks of a partition of [2n] can fold to the same image only if a
@@ -213,27 +200,13 @@ def image_collision_bound(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> Fracti
     if n < 0:
         raise ValueError(f"image_collision_bound() needs n >= 0, got {n}")
     total = Fraction(0)
-    denominator = bell(2 * n, cap=bell_cap)
+    denominator = bell(2 * n)
     for k in range(1, n + 1):
         total += Fraction(
-            binomial(n, k) * (1 << k) * bell(2 * n - 2 * k, cap=bell_cap),
+            binomial(n, k) * (1 << k) * bell(2 * n - 2 * k),
             denominator,
         )
     return total
-
-
-def dobinski_partial_ratio(n: int, *, bell_cap: int = DEFAULT_BELL_CAP) -> float:
-    """Ratio of the partial Dobinski sum over block counts up to 2n to e B_{2n}.
-
-    The full sum sum_m m^{2n} / m! equals e B_{2n}; truncating at m = 2n
-    keeps the dominant terms, and this ratio measures how much.
-    """
-    if n < 1:
-        raise ValueError(f"dobinski_partial_ratio() needs n >= 1, got {n}")
-    partial = Fraction(0)
-    for m in range(2 * n + 1):
-        partial += Fraction(m ** (2 * n), math.factorial(m))
-    return float(partial / bell(2 * n, cap=bell_cap)) / math.e
 
 
 @dataclass(frozen=True)
@@ -297,7 +270,6 @@ def asymptotic_report(
     *,
     bell_cap: int = DEFAULT_BELL_CAP,
     grid: list[int] | None = None,
-    exact_table: SequenceTable | None = None,
 ) -> AsymptoticReport:
     """Build the exact-versus-estimate convergence report.
 
@@ -312,8 +284,7 @@ def asymptotic_report(
         grid = sorted(set(grid))
         if not grid or grid[0] < 2 or grid[-1] > max_n:
             raise ValueError(f"grid entries must lie in 2..{max_n}: {grid}")
-    if exact_table is None:
-        exact_table = full_table(min(max_n, bell_cap // 2), bell_cap=bell_cap)
+    exact_table = full_table(min(max_n, bell_cap // 2), bell_cap=bell_cap)
     rows = []
     for n in grid:
         if 2 * n <= bell_cap:

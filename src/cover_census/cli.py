@@ -6,7 +6,8 @@ convergence report, and ``sample`` runs Monte Carlo estimates against
 exact counterparts.
 
 Exit codes are stable across commands: 0 on success, 1 when a
-verification or consistency check fails, 2 on argument or usage errors.
+verification or consistency check fails, 2 on argument or usage errors
+and when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -340,6 +341,12 @@ def _sample_exact(args: argparse.Namespace, limit: int) -> Fraction | None:
     if args.stat == "moment":
         return merged_twin_moment(args.n, args.r)
     if args.n <= limit:
+        size = 2 * args.n
+        print(
+            f"cover-census: exact p-collision scans all Bell({size}) ="
+            f" {bell(size)} partitions of [{size}]",
+            file=sys.stderr,
+        )
         census = oracle_counts(args.n, limit=limit)
         return Fraction(census.bell_2n - census.image_distinct, census.bell_2n)
     return None
@@ -421,10 +428,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
     except ConsistencyError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # Point stdout at the null device: a failed flush keeps the bytes
+        # it could not write, and the interpreter's final flush would fail
+        # on them again with an "Exception ignored" message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _usage_error(f"cannot write output: {exc.strerror or exc}")
+    return code
 
 
 if __name__ == "__main__":

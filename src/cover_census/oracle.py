@@ -146,19 +146,6 @@ class TwoCover:
         )
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A simple graph on the labelled vertex set [n]."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for a, b in self.edges:
-            if not (1 <= a < b <= self.n):
-                raise ValueError(f"edge ({a}, {b}) is not valid on [{self.n}]")
-
-
 def fold_block(block: Iterable[int], n: int) -> frozenset[int]:
     """Reduce a subset of [2n] onto [n] by mapping each twin j + n to j."""
     folded = set()
@@ -464,27 +451,14 @@ def fiber_check(n: int, *, limit: int | None = None) -> FiberCheck:
     )
 
 
-def line_graph_of(cover: TwoCover) -> LabeledGraph:
-    """Graph on the ground set joining elements that share a block.
-
-    Defined for restricted covers, where each edge comes from a unique
-    block.  This is the line-graph view: the cover's blocks are the
-    vertices of an underlying simple graph whose edges are the ground-set
-    elements, and two edges are adjacent exactly when they share a block.
-    """
-    if not cover.restricted:
-        raise ValueError("line_graph_of() requires a restricted cover")
-    edges = set()
-    for block in cover.blocks:
-        edges.update(combinations(block, 2))
-    return LabeledGraph(cover.n, frozenset(edges))
-
-
 def oracle_line_count(n: int, *, limit: int | None = None) -> int:
     """Count distinct labelled line graphs among restricted covers of [n].
 
-    This is the number of distinct images of line_graph_of, that is, the
-    number of graphs on the labelled vertex set [n] that are line graphs.
+    A restricted cover gives the graph on [n] that joins two elements when
+    they share a block: the line graph of the simple graph whose vertices
+    are the blocks and whose edges are the elements.  This counts the
+    distinct such graphs, that is, the graphs on the labelled vertex set
+    [n] that are line graphs.
     Beware that it is strictly below oracle_line_class_count from n = 4 on
     (60 versus 66): collapsing a triangle with a pendant edge relabels into
     the same diamond graph two ways, so the triangle/star exchange is not

@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .combinatorics import DEFAULT_BELL_CAP, bell, binomial, falling_factorial
+from .combinatorics import bell, binomial, falling_factorial
 from .oracle import SetPartition, image_collision_count, merged_twin_count
 
 _MASK64 = (1 << 64) - 1
@@ -78,30 +78,26 @@ def _block_size(m: int, draw: int) -> int:
     ``draw`` lies in [0, B_m); the size is the least k whose cumulative
     weight exceeds it, which is what a linear scan of the weights returns.
     """
-    # B_m has already passed the caller's cap, so every B_{m-k} is in the
-    # table and ``cap=m`` cannot reject it.
     cum = _cumulative.get(m)
     if cum is None:
-        cum = _cumulative[m] = [bell(m - 1, cap=m)]
+        cum = _cumulative[m] = [bell(m - 1)]
     while draw >= cum[-1]:
         k = len(cum) + 1
-        cum.append(cum[-1] + binomial(m - 1, k - 1) * bell(m - k, cap=m))
+        cum.append(cum[-1] + binomial(m - 1, k - 1) * bell(m - k))
     return bisect_right(cum, draw) + 1
 
 
-def sample_partition(
-    size: int, rng: random.Random, *, bell_cap: int = DEFAULT_BELL_CAP
-) -> SetPartition:
+def sample_partition(size: int, rng: random.Random) -> SetPartition:
     """Draw one exactly-uniform set partition of [size]."""
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    bell(size, cap=bell_cap)
+    bell(size)  # rejects a size above the Bell cap before any allocation
     labels = [0] * size
     remaining = list(range(1, size + 1))
     next_label = 0
     while remaining:
         m = len(remaining)
-        k = _block_size(m, rng.randrange(bell(m, cap=bell_cap)))
+        k = _block_size(m, rng.randrange(bell(m)))
         labels[remaining.pop(0) - 1] = next_label
         if k > 1:
             for element in rng.sample(remaining, k - 1):

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, stirling2
 from .errors import ConsistencyError
-from .series import BivariateSeries, PowerSeries
+from .series import PowerSeries
 
 # Composition of degree-N series costs O(N^3) exact operations, so the
 # always-on identity checks in full_table() cap it; products are O(N^2) and
@@ -35,15 +35,25 @@ from .series import BivariateSeries, PowerSeries
 COMPOSE_CHECK_DEGREE = 24
 
 # Always-on spot check of the collapsed extraction against the literal
-# bivariate series, kept small because the bivariate grid is quadratic.
+# block-count grid, kept small because the grid's closed-form sums are
+# quartic in the degree.
 _BIVARIATE_SPOT_DEGREE = 8
 
 
-def block_count_series(max_n: int) -> BivariateSeries:
-    """Bivariate series counting restricted proper 2-covers by block count.
+def block_count_series(max_n: int) -> list[list[Fraction]]:
+    """Coefficient grid counting restricted proper 2-covers by block count.
 
-    x marks ground-set elements (EGF convention), y marks blocks.  The
-    closed form is exp(-y - x y^2 / 2) times sum_m y^m / m! (1 + x)^C(m, 2).
+    ``grid[i][j]`` is the coefficient of x^i y^j, where x marks ground-set
+    elements (EGF convention) and y marks blocks, in the literal product
+    exp(-y - x y^2 / 2) times sum_m y^m / m! (1 + x)^C(m, 2).  By the
+    exponential formula the prefactor's x^b y^(a + 2b) coefficient is
+    (-1)^(a+b) / (a! 2^b b!), so every coefficient has the closed form
+
+        [x^i y^j] = sum_b sum_m (-1)^(a+b) C(C(m, 2), i - b) / (a! 2^b b! m!)
+
+    over b <= i and block counts m with a = j - m - 2b >= 0.  No step
+    shares the derangement collapse of restricted_proper_sequence, so the
+    two routes check each other.
 
     The y-truncation at 2 * max_n is exact rather than an approximation:
     blocks are nonempty and each of the n elements lies in exactly two of
@@ -52,27 +62,28 @@ def block_count_series(max_n: int) -> BivariateSeries:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    nx, ny = max_n, 2 * max_n
-    prefactor = BivariateSeries.from_terms(
-        {(0, 1): -1, (1, 2): Fraction(-1, 2)} if max_n >= 1 else {},
-        nx,
-        ny,
-    ).exp()
-    grid = [[Fraction(0)] * (ny + 1) for _ in range(nx + 1)]
-    for m in range(ny + 1):
-        pairs = m * (m - 1) // 2
-        inv_mf = Fraction(1, factorial(m))
-        for i in range(min(nx, pairs) + 1):
-            grid[i][m] = comb(pairs, i) * inv_mf
-    block_sum = BivariateSeries(nx, ny, tuple(tuple(row) for row in grid))
-    return prefactor * block_sum
+    grid = []
+    for i in range(max_n + 1):
+        row = []
+        for j in range(2 * max_n + 1):
+            total = Fraction(0)
+            for b in range(min(i, j // 2) + 1):
+                for m in range(j - 2 * b + 1):
+                    a = j - m - 2 * b
+                    total += Fraction(
+                        (-1) ** (a + b) * comb(m * (m - 1) // 2, i - b),
+                        factorial(a) * 2**b * factorial(b) * factorial(m),
+                    )
+            row.append(total)
+        grid.append(row)
+    return grid
 
 
-def sequence_from_block_series(series: BivariateSeries) -> list[int]:
+def sequence_from_block_series(grid: Sequence[Sequence[Fraction]]) -> list[int]:
     """Extract the restricted-proper counts: n! times the x^n row sum."""
     values = []
-    for n in range(series.degree_x + 1):
-        total = sum(series.coeffs[n], Fraction(0)) * factorial(n)
+    for n, row in enumerate(grid):
+        total = sum(row, Fraction(0)) * factorial(n)
         if total.denominator != 1:
             raise ConsistencyError(
                 f"block-count series row {n} sums to non-integer {total}"
@@ -249,14 +260,13 @@ def _check_sequence_match(name: str, expected: Sequence[int], series: PowerSerie
 def full_table(
     max_n: int,
     *,
-    compose_check_degree: int = COMPOSE_CHECK_DEGREE,
     bell_cap: int = DEFAULT_BELL_CAP,
 ) -> SequenceTable:
     """Compute the five sequences to ``max_n`` with redundant verification.
 
     Every derived route is recomputed a second way and compared: the
-    collapsed extraction is spot-checked against the literal bivariate
-    series, the binomial and Stirling transforms against series products
+    collapsed extraction is spot-checked against the literal block-count
+    grid, the binomial and Stirling transforms against series products
     and compositions, and the line-graph counts against their two product
     forms.  Any disagreement raises ConsistencyError.
     """
@@ -295,7 +305,7 @@ def full_table(
         t_series * bell_series,
     )
 
-    d = min(max_n, compose_check_degree)
+    d = min(max_n, COMPOSE_CHECK_DEGREE)
     shifted = (PowerSeries.x(d).exp() - PowerSeries.one(d))
     _check_sequence_match(
         "composition route for all 2-covers",

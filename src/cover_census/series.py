@@ -4,9 +4,6 @@ A univariate series of degree N stores the coefficients of x^0 .. x^N and
 all arithmetic truncates at that degree.  Sequences are recovered through
 the exponential-generating-function convention: the n-th sequence value is
 n! times the coefficient of x^n.
-
-A bivariate series of degrees (N, M) stores coefficients of x^i y^j with
-i <= N and j <= M on a dense grid; products truncate in both variables.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -78,10 +75,6 @@ class PowerSeries:
         return PowerSeries(degree, tuple(coeffs))
 
     @staticmethod
-    def zero(degree: int) -> "PowerSeries":
-        return PowerSeries(degree, (_ZERO,) * (degree + 1))
-
-    @staticmethod
     def one(degree: int) -> "PowerSeries":
         return PowerSeries.from_coeffs([1], degree)
 
@@ -125,22 +118,14 @@ class PowerSeries:
             self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.degree, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: Union["PowerSeries", Scalar]) -> "PowerSeries":
-        if isinstance(other, PowerSeries):
-            self._require_same_degree(other)
-            return PowerSeries(
-                self.degree,
-                tuple(_poly_mul_trunc(self.coeffs, other.coeffs, self.degree)),
-            )
-        if isinstance(other, (int, Fraction)):
-            scalar = _as_fraction(other)
-            return PowerSeries(self.degree, tuple(a * scalar for a in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        self._require_same_degree(other)
+        return PowerSeries(
+            self.degree,
+            tuple(_poly_mul_trunc(self.coeffs, other.coeffs, self.degree)),
+        )
 
     def exp(self) -> "PowerSeries":
         """Exponential of a series with zero constant term.
@@ -172,119 +157,3 @@ class PowerSeries:
                 [self.coeffs[k]], self.degree
             )
         return result
-
-
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Truncated series in x and y; ``coeffs[i][j]`` multiplies x^i y^j."""
-
-    degree_x: int
-    degree_y: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.degree_x < 0 or self.degree_y < 0:
-            raise ValueError("degrees must be >= 0")
-        if len(self.coeffs) != self.degree_x + 1 or any(
-            len(row) != self.degree_y + 1 for row in self.coeffs
-        ):
-            raise ValueError("coefficient grid does not match the stated degrees")
-
-    @staticmethod
-    def zero(degree_x: int, degree_y: int) -> "BivariateSeries":
-        row = (_ZERO,) * (degree_y + 1)
-        return BivariateSeries(degree_x, degree_y, (row,) * (degree_x + 1))
-
-    @staticmethod
-    def from_terms(
-        terms: Mapping[tuple[int, int], Scalar], degree_x: int, degree_y: int
-    ) -> "BivariateSeries":
-        grid = [[_ZERO] * (degree_y + 1) for _ in range(degree_x + 1)]
-        for (i, j), value in terms.items():
-            if not (0 <= i <= degree_x and 0 <= j <= degree_y):
-                raise ValueError(f"term x^{i} y^{j} outside the truncation grid")
-            grid[i][j] = _as_fraction(value)
-        return BivariateSeries(degree_x, degree_y, tuple(tuple(r) for r in grid))
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        if not (0 <= i <= self.degree_x and 0 <= j <= self.degree_y):
-            raise ValueError(
-                f"coefficient ({i}, {j}) outside the truncation grid "
-                f"{self.degree_x} x {self.degree_y}"
-            )
-        return self.coeffs[i][j]
-
-    def _require_same_degrees(self, other: "BivariateSeries") -> None:
-        if self.degree_x != other.degree_x or self.degree_y != other.degree_y:
-            raise ValueError(
-                f"degree mismatch: ({self.degree_x}, {self.degree_y}) vs "
-                f"({other.degree_x}, {other.degree_y})"
-            )
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        self._require_same_degrees(other)
-        return BivariateSeries(
-            self.degree_x,
-            self.degree_y,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ),
-        )
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        self._require_same_degrees(other)
-        nx, ny = self.degree_x, self.degree_y
-        grid = [[_ZERO] * (ny + 1) for _ in range(nx + 1)]
-        for i, row in enumerate(self.coeffs):
-            for j, a in enumerate(row):
-                if a == 0:
-                    continue
-                for p in range(nx - i + 1):
-                    other_row = other.coeffs[p]
-                    target = grid[i + p]
-                    for q in range(ny - j + 1):
-                        b = other_row[q]
-                        if b:
-                            target[j + q] += a * b
-        return BivariateSeries(nx, ny, tuple(tuple(r) for r in grid))
-
-    def exp(self) -> "BivariateSeries":
-        """Exponential of a series with zero constant term.
-
-        The pure-x part is exponentiated as a univariate series; the terms
-        with positive y-degree feed the same derivative recurrence applied
-        in y, with x-polynomial coefficients.
-        """
-        if self.coeffs[0][0] != 0:
-            raise ValueError("exp() requires a zero constant term")
-        nx, ny = self.degree_x, self.degree_y
-        base = PowerSeries.from_coeffs(
-            [row[0] for row in self.coeffs], nx
-        ).exp().coeffs
-        # columns[k] is the x-polynomial multiplying y^k
-        columns = [
-            [self.coeffs[i][k] for i in range(nx + 1)] for k in range(ny + 1)
-        ]
-        partial: list[list[Fraction]] = [[_ONE] + [_ZERO] * nx]
-        for m in range(1, ny + 1):
-            acc = [_ZERO] * (nx + 1)
-            for k in range(1, m + 1):
-                col = columns[k]
-                if all(c == 0 for c in col):
-                    continue
-                term = _poly_mul_trunc(col, partial[m - k], nx)
-                for i, t in enumerate(term):
-                    if t:
-                        acc[i] += k * t
-            partial.append([a / m for a in acc])
-        grid = [[_ZERO] * (ny + 1) for _ in range(nx + 1)]
-        for m in range(ny + 1):
-            scaled = _poly_mul_trunc(list(base), partial[m], nx)
-            for i in range(nx + 1):
-                grid[i][m] = scaled[i]
-        return BivariateSeries(nx, ny, tuple(tuple(r) for r in grid))

@@ -11,10 +11,8 @@ import scipy.special
 from cover_census.asymptotics import (
     REPORT_NOTE,
     asymptotic_report,
-    dobinski_partial_ratio,
     image_collision_bound,
     lambert_w,
-    lambert_w_expansion,
     log_bell_asymptotic,
     log_cover_estimate,
     log_integer,
@@ -27,7 +25,7 @@ from cover_census.asymptotics import (
     separation_probability,
     separation_ratio,
 )
-from cover_census.combinatorics import bell, falling_factorial
+from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, falling_factorial
 from cover_census.oracle import oracle_counts
 
 
@@ -61,22 +59,6 @@ class TestLambertW:
         values = [lambert_w(t).w for t in (0.1, 1.0, 10.0, 100.0, 1e6)]
         assert values == sorted(values)
         assert values[0] > 0
-
-
-class TestLambertWExpansion:
-    def test_requires_large_argument(self):
-        with pytest.raises(ValueError):
-            lambert_w_expansion(math.e)
-        with pytest.raises(ValueError):
-            lambert_w_expansion(1.0)
-
-    def test_gap_shrinks(self):
-        gaps = [
-            abs(lambert_w_expansion(t) - lambert_w(t).w) / lambert_w(t).w
-            for t in (1e3, 1e6, 1e9, 1e12)
-        ]
-        assert all(earlier > later for earlier, later in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 2e-4
 
 
 class TestLogInteger:
@@ -228,14 +210,14 @@ class TestExactProbabilities:
     def test_collision_bound_degenerate(self):
         assert image_collision_bound(0) == 0
 
-    def test_dobinski_partial_ratio(self):
-        ratios = [dobinski_partial_ratio(n) for n in (2, 4, 6, 8)]
-        assert all(0 < r < 1 for r in ratios)
-        assert ratios == sorted(ratios)
-        assert ratios[0] == pytest.approx(0.813, abs=2e-3)
-        assert ratios[-1] > 0.9999
-        with pytest.raises(ValueError):
-            dobinski_partial_ratio(0)
+    def test_bell_cap_respected(self):
+        n = DEFAULT_BELL_CAP // 2 + 1
+        with pytest.raises(ValueError, match="cap"):
+            separation_probability(n)
+        with pytest.raises(ValueError, match="cap"):
+            merged_twin_moment(n, 1)
+        with pytest.raises(ValueError, match="cap"):
+            image_collision_bound(n)
 
 
 class TestReport:

@@ -262,10 +262,12 @@ class TestSampleCommand:
             ]
         )
         assert code == 0
-        record = json.loads(capsys.readouterr().out)["rows"][0]
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)["rows"][0]
         assert record["exact"] is None
         assert record["exact_fraction"] is None
         assert record["z_score"] is None
+        assert "scans" not in captured.err
 
     def test_collision_within_oracle_limit(self, capsys):
         code = main(
@@ -282,9 +284,14 @@ class TestSampleCommand:
             ]
         )
         assert code == 0
-        record = json.loads(capsys.readouterr().out)["rows"][0]
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)["rows"][0]
         assert record["exact_fraction"] == "50/203"
         assert abs(record["z_score"]) <= 4
+        assert captured.err == (
+            "cover-census: exact p-collision scans all Bell(6) = 203"
+            " partitions of [6]\n"
+        )
 
     def test_ground_set_beyond_bell_cap(self, capsys):
         code = main(
@@ -315,6 +322,35 @@ class TestProcessLevel:
     def test_missing_required_flag_usage_error(self):
         result = run_cli("table")
         assert result.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--max-n", "3"),
+            ("oracle", "--n", "3"),
+            ("asymptotics", "--max-n", "8"),
+            ("sample", "--n", "2", "--stat", "p-x0", "--trials", "10", "--seed", "1"),
+        ],
+    )
+    def test_unwritable_stdout_is_usage_error(self, argv):
+        # Buffered stdout fails at the final flush, unbuffered at the write.
+        buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    [sys.executable, "-m", "cover_census", *argv],
+                    stdout=full,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
+            assert result.returncode == 2
+            assert result.stderr.splitlines()[-1] == (
+                "cover-census: error: cannot write output: No space left on device"
+            )
+            assert "Traceback" not in result.stderr
+            assert "Exception ignored" not in result.stderr
 
     def test_console_script_installed(self, tmp_path):
         path, env = shutil.which("cover-census"), None

@@ -14,7 +14,6 @@ import pytest
 from cover_census.combinatorics import bell
 from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
-    LabeledGraph,
     OracleCensus,
     SetPartition,
     TwoCover,
@@ -24,7 +23,6 @@ from cover_census.oracle import (
     fiber_check,
     fold_block,
     image_collision_count,
-    line_graph_of,
     merged_twin_count,
     merged_twin_histogram,
     oracle_counts,
@@ -264,34 +262,6 @@ class TestFiberStructure:
 
 
 class TestLineGraphs:
-    def test_labeled_graph_validation(self):
-        with pytest.raises(ValueError):
-            LabeledGraph(3, frozenset({(1, 4)}))
-        with pytest.raises(ValueError):
-            LabeledGraph(3, frozenset({(2, 2)}))
-
-    def test_requires_restricted_cover(self):
-        doubled = TwoCover.from_blocks(2, [[1, 2], [1, 2]])
-        with pytest.raises(ValueError):
-            line_graph_of(doubled)
-
-    def test_triangle_star_collision(self):
-        triangle = TwoCover.from_blocks(3, [[1, 2], [1, 3], [2, 3]])
-        star = TwoCover.from_blocks(3, [[1, 2, 3], [1], [2], [3]])
-        expected = LabeledGraph(3, frozenset({(1, 2), (1, 3), (2, 3)}))
-        assert line_graph_of(triangle) == expected
-        assert line_graph_of(star) == expected
-
-    def test_paw_collision_beyond_triangle_star(self):
-        # Two covers of [4], neither containing a triangle component, with
-        # the same line graph (the diamond): the pendant edge of a paw can
-        # hang off either symmetric triangle vertex.  This is why distinct
-        # images fall below exchange classes from n = 4 on.
-        paw_a = TwoCover.from_blocks(4, [[1, 2], [1, 3], [2, 3, 4], [4]])
-        paw_b = TwoCover.from_blocks(4, [[1, 2, 3], [2, 4], [3, 4], [1]])
-        assert paw_a.blocks != paw_b.blocks
-        assert line_graph_of(paw_a) == line_graph_of(paw_b)
-
     @pytest.mark.parametrize("n", range(5))
     def test_frozen_counts(self, n):
         assert oracle_line_class_count(n) == LINE_CLASSES_KNOWN[n]

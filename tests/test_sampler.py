@@ -12,7 +12,7 @@ import scipy.stats
 from cover_census import sampler
 from cover_census.asymptotics import merged_twin_moment, separation_probability
 from cover_census.cli import main
-from cover_census.combinatorics import bell, binomial
+from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, binomial
 from cover_census.oracle import SetPartition, oracle_counts
 from cover_census.sampler import (
     Estimate,
@@ -44,8 +44,8 @@ class TestSamplePartition:
             sample_partition(-1, random.Random(0))
 
     def test_bell_cap_respected(self):
-        with pytest.raises(ValueError):
-            sample_partition(10, random.Random(0), bell_cap=8)
+        with pytest.raises(ValueError, match="cap"):
+            sample_partition(DEFAULT_BELL_CAP + 1, random.Random(0))
 
     def test_deterministic_given_seed(self):
         draws_a = [sample_partition(6, random.Random(SEED)).rgs for _ in range(1)]

@@ -1,9 +1,15 @@
 """Tests for the exact sequence pipeline and its cross-checks."""
 
+from collections import Counter
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
+from cover_census import sequences
 from cover_census.combinatorics import bell, binomial, stirling2
 from cover_census.errors import ConsistencyError
+from cover_census.oracle import classify_partition, enumerate_partitions
 from cover_census.sequences import (
     SequenceTable,
     TableRow,
@@ -74,6 +80,21 @@ class TestRestrictedProperSequence:
         literal = sequence_from_block_series(block_count_series(8))
         assert restricted_proper_sequence(8) == literal
 
+    def test_block_count_grid_counts_covers_by_block_count(self):
+        # n! [x^n y^j] is the number of restricted proper 2-covers of [n]
+        # with j blocks; count those covers exhaustively for n <= 4.
+        grid = block_count_series(4)
+        for n, row in enumerate(grid):
+            covers = set()
+            for partition in enumerate_partitions(2 * n):
+                cover = classify_partition(partition, n).cover
+                if cover is not None and cover.proper and cover.restricted:
+                    covers.add(cover)
+            by_blocks = Counter(len(cover.blocks) for cover in covers)
+            assert [value * factorial(n) for value in row] == [
+                by_blocks[j] for j in range(len(row))
+            ]
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             restricted_proper_sequence(-1)
@@ -126,18 +147,23 @@ class TestFullTable:
         with pytest.raises(ValueError):
             full_table(4, bell_cap=6)
 
-    def test_compose_check_degree_zero_still_builds(self):
-        # Disabling the composition spot check must not change the rows.
-        assert full_table(5, compose_check_degree=0).rows == full_table(5).rows
-
 
 class TestSequenceConsistencyMachinery:
     def test_sequence_from_block_series_rejects_non_counts(self):
-        from cover_census.series import BivariateSeries
-
         # A lone x y / 2 term would make the n = 1 value one half.
-        from fractions import Fraction
-
-        bad = BivariateSeries.from_terms({(1, 1): Fraction(1, 2)}, 1, 1)
+        bad = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
         with pytest.raises(ConsistencyError):
             sequence_from_block_series(bad)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_spot_check_catches_perturbed_v(self, monkeypatch, k):
+        collapsed = sequences.restricted_proper_sequence
+
+        def perturbed(max_n):
+            values = collapsed(max_n)
+            values[k] += 1
+            return values
+
+        monkeypatch.setattr(sequences, "restricted_proper_sequence", perturbed)
+        with pytest.raises(ConsistencyError, match="literal block-count"):
+            full_table(8)
