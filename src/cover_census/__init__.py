@@ -13,7 +13,6 @@ from .asymptotics import (
     AsymptoticReport,
     ReportRow,
     TrendCheck,
-    WValue,
     asymptotic_report,
     image_collision_bound,
     lambert_w,
@@ -32,8 +31,6 @@ from .asymptotics import (
 from .combinatorics import (
     DEFAULT_BELL_CAP,
     bell,
-    binomial,
-    falling_factorial,
     stirling2,
 )
 from .errors import ConsistencyError
@@ -47,10 +44,8 @@ from .oracle import (
     classify_partition,
     enumerate_partitions,
     fiber_check,
-    fold_block,
     image_collision_count,
     merged_twin_count,
-    merged_twin_histogram,
     oracle_counts,
     oracle_line_class_count,
     oracle_line_count,
@@ -95,10 +90,8 @@ __all__ = [
     "TableRow",
     "TrendCheck",
     "TwoCover",
-    "WValue",
     "asymptotic_report",
     "bell",
-    "binomial",
     "binomial_transform",
     "block_count_series",
     "classify_partition",
@@ -106,9 +99,7 @@ __all__ = [
     "estimate_collision_probability",
     "estimate_separation_probability",
     "estimate_twin_moment",
-    "falling_factorial",
     "fiber_check",
-    "fold_block",
     "full_table",
     "image_collision_bound",
     "image_collision_count",
@@ -120,7 +111,6 @@ __all__ = [
     "log_restricted_estimate",
     "log_saddle_estimate",
     "merged_twin_count",
-    "merged_twin_histogram",
     "merged_twin_moment",
     "oracle_counts",
     "oracle_line_class_count",

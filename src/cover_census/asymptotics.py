@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .combinatorics import DEFAULT_BELL_CAP, bell, binomial, falling_factorial
+from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions
 from .errors import ConsistencyError
 from .sequences import full_table
 
@@ -29,16 +29,7 @@ REPORT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class WValue:
-    """A solved point of w * e^w = t with its relative residual."""
-
-    t: float
-    w: float
-    residual: float
-
-
-def lambert_w(t: float) -> WValue:
+def lambert_w(t: float) -> float:
     """Solve w * e^w = t on the principal branch by Halley iteration.
 
     The initial guess is log t - log log t for t >= e and t itself below,
@@ -56,7 +47,7 @@ def lambert_w(t: float) -> WValue:
         ew = math.exp(w)
         residual = w * ew - t
         if abs(residual) <= _W_TOLERANCE * t:
-            return WValue(t=t, w=w, residual=abs(residual) / t)
+            return w
         derivative = ew * (w + 1.0)
         w -= residual / (derivative - (w + 2.0) * residual / (2.0 * w + 2.0))
     raise ArithmeticError(
@@ -89,7 +80,7 @@ def log_bell_asymptotic(n: int) -> float:
     """
     if n < 10:
         raise ValueError(f"log_bell_asymptotic() needs n >= 10, got {n}")
-    w = lambert_w(float(n)).w
+    w = lambert_w(float(n))
     ew = n / w
     one_plus = 1.0 + w
     main = ew * (w * w - w + 1.0) - 0.5 * math.log1p(w) - 1.0
@@ -133,7 +124,7 @@ def saddle_block_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"saddle_block_count() needs n >= 1, got {n}")
-    return math.floor(2.0 * n / lambert_w(2.0 * n).w + 0.5)
+    return math.floor(2.0 * n / lambert_w(2.0 * n) + 0.5)
 
 
 def log_saddle_estimate(n: int, log_bell_2n: float) -> float:
@@ -156,26 +147,33 @@ def merged_twin_moment(n: int, r: int) -> Fraction:
     if r > n:
         return Fraction(0)
     return Fraction(
-        falling_factorial(n, r) * bell(2 * n - r),
+        math.perm(n, r) * bell(2 * n - r),
         bell(2 * n),
     )
+
+
+def merged_twin_moment_variance(n: int, r: int) -> Fraction:
+    """Exact variance of (X)_r for the merged-twin count X of [2n], by the
+    product rule (x)_r^2 = sum_j C(r, j)^2 j! (x)_{2r-j}."""
+    mean = merged_twin_moment(n, r)
+    second = sum(
+        math.comb(r, j) ** 2 * math.factorial(j) * merged_twin_moment(n, 2 * r - j)
+        for j in range(r + 1)
+    )
+    return second - mean * mean
 
 
 def separation_probability(n: int) -> Fraction:
     """Exact probability that a uniform partition of [2n] is separated.
 
     By inclusion-exclusion over merged twin pairs this is the alternating
-    sum of the factorial moments, sum_r (-1)^r E[(X)_r] / r!, and the sum
-    is finite because at most n pairs can merge.
+    sum of the factorial moments, sum_r (-1)^r E[(X)_r] / r!, that is the
+    separated count sum_r (-1)^r C(n, r) B_{2n-r} over B_{2n}.
     """
     if n < 0:
         raise ValueError(f"separation_probability() needs n >= 0, got {n}")
-    total = Fraction(0)
-    for r in range(n + 1):
-        term = merged_twin_moment(n, r) / math.factorial(r)
-        total += -term if r % 2 else term
-    scaled = total * bell(2 * n)
-    if scaled.denominator != 1 or not 0 <= total <= 1:
+    total = Fraction(separated_partitions(n), bell(2 * n))
+    if not 0 <= total <= 1:
         raise ConsistencyError(
             f"separation probability at n={n} is not a count fraction: {total}"
         )
@@ -203,7 +201,7 @@ def image_collision_bound(n: int) -> Fraction:
     denominator = bell(2 * n)
     for k in range(1, n + 1):
         total += Fraction(
-            binomial(n, k) * (1 << k) * bell(2 * n - 2 * k),
+            math.comb(n, k) * (1 << k) * bell(2 * n - 2 * k),
             denominator,
         )
     return total
@@ -265,30 +263,20 @@ def report_grid(max_n: int) -> list[int]:
     return grid
 
 
-def asymptotic_report(
-    max_n: int,
-    *,
-    bell_cap: int = DEFAULT_BELL_CAP,
-    grid: list[int] | None = None,
-) -> AsymptoticReport:
-    """Build the exact-versus-estimate convergence report.
+def asymptotic_report(max_n: int) -> AsymptoticReport:
+    """Build the exact-versus-estimate convergence report on report_grid.
 
-    Exact sequence values are computed up to min(max_n, bell_cap / 2); for
-    rows beyond that, log B_{2n} falls back to the Bell-number expansion
-    and the ratio columns are left empty.  Each row records which source
-    supplied it.
+    Exact sequence values are computed up to min(max_n, DEFAULT_BELL_CAP /
+    2), with the cap read at call time; for rows beyond that, log B_{2n}
+    falls back to the Bell-number expansion and the ratio columns are left
+    empty.  Each row records which source supplied it.
     """
-    if grid is None:
-        grid = report_grid(max_n)
-    else:
-        grid = sorted(set(grid))
-        if not grid or grid[0] < 2 or grid[-1] > max_n:
-            raise ValueError(f"grid entries must lie in 2..{max_n}: {grid}")
-    exact_table = full_table(min(max_n, bell_cap // 2), bell_cap=bell_cap)
+    grid = report_grid(max_n)
+    exact_table = full_table(min(max_n, DEFAULT_BELL_CAP // 2))
     rows = []
     for n in grid:
-        if 2 * n <= bell_cap:
-            log_b = log_integer(bell(2 * n, cap=bell_cap))
+        if 2 * n <= DEFAULT_BELL_CAP:
+            log_b = log_integer(bell(2 * n))
             source = "exact"
         else:
             log_b = log_bell_asymptotic(2 * n)
@@ -344,13 +332,11 @@ class TrendCheck:
         return self.last_deviation < self.first_deviation
 
 
-def ratio_trends(
-    report: AsymptoticReport,
-    columns: tuple[str, ...] = ("ratio_t", "ratio_v"),
-) -> list[TrendCheck]:
-    """Compare |ratio - 1| at the first and last grid points with exact data."""
+def ratio_trends(report: AsymptoticReport) -> list[TrendCheck]:
+    """Compare |ratio_t - 1| and |ratio_v - 1| at the first and last grid
+    points with exact data."""
     checks = []
-    for column in columns:
+    for column in ("ratio_t", "ratio_v"):
         present = [
             (row.n, getattr(row, column))
             for row in report.rows

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,13 +25,15 @@ from typing import Sequence
 
 from .asymptotics import (
     AsymptoticReport,
+    ReportRow,
     asymptotic_report,
     image_collision_bound,
     merged_twin_moment,
+    merged_twin_moment_variance,
     ratio_trends,
     separation_probability,
 )
-from .combinatorics import DEFAULT_BELL_CAP, bell, falling_factorial
+from .combinatorics import DEFAULT_BELL_CAP, bell
 from .errors import ConsistencyError
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
@@ -51,26 +54,11 @@ ORACLE_LIMIT_ENV = "COVER_CENSUS_ORACLE_LIMIT"
 
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
-REPORT_FIELDS = (
-    "n",
-    "bell_source",
-    "log_bell_2n",
-    "est_st",
-    "est_uvl",
-    "est_saddle",
-    "saddle_blocks",
-    "log_s",
-    "log_t",
-    "log_u",
-    "log_v",
-    "log_l",
-    "ratio_s",
-    "ratio_t",
-    "ratio_u",
-    "ratio_v",
-    "ratio_l",
-    "ratio_v_saddle",
-)
+REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(ReportRow))
+
+# full_table(256) takes about half a minute and the cost grows faster than
+# N^4, so larger exact tables are announced on stderr before they start.
+_ANNOUNCE_ABOVE_N = 256
 
 
 def _nonnegative(text: str) -> int:
@@ -182,7 +170,18 @@ def _table_to_json(table: SequenceTable, params: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _announce_table(max_n: int) -> None:
+    # Sizes above the Bell cap are not announced: full_table refuses them.
+    if _ANNOUNCE_ABOVE_N < max_n <= DEFAULT_BELL_CAP // 2:
+        print(
+            f"cover-census: building the exact table to n={max_n}; above"
+            f" n={_ANNOUNCE_ABOVE_N} this takes minutes",
+            file=sys.stderr,
+        )
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
+    _announce_table(args.max_n)
     try:
         table = full_table(args.max_n)
     except ValueError as exc:
@@ -234,6 +233,7 @@ def _report_to_json(report: AsymptoticReport, params: dict) -> str:
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         return _usage_error(f"--max-n must be >= 2 for asymptotics, got {args.max_n}")
+    _announce_table(min(args.max_n, DEFAULT_BELL_CAP // 2))
     try:
         report = asymptotic_report(args.max_n)
     except ValueError as exc:
@@ -303,10 +303,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     ok &= _check_line("fiber sizes 2^(n - duplicates)", fibers.ok, lines)
     moments_ok = all(
         sum(
-            count * falling_factorial(x, r)
+            count * math.perm(x, r)
             for x, count in enumerate(census.merged_twin_histogram)
         )
-        == falling_factorial(n, r) * bell(2 * n - r)
+        == math.perm(n, r) * bell(2 * n - r)
         for r in range(n + 1)
     )
     ok &= _check_line("merged-twin factorial moments", moments_ok, lines)
@@ -380,20 +380,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     z_score: float | None = None
     if exact is not None:
-        gap = result.estimate - float(exact)
+        # Score test: the denominator is the exact spread under the null,
+        # p0 (1 - p0) for a probability p0 and Var[(X)_r] for a moment, so
+        # a sample whose own spread is zero cannot make it vanish.
         if args.stat == "moment":
-            spread = result.std_error
+            variance = float(merged_twin_moment_variance(args.n, args.r))
         else:
-            # Score-test denominator: under the exact probability p0 the
-            # spread sqrt(p0 (1 - p0) / T) cannot degenerate to zero.
             p0 = float(exact)
-            spread = math.sqrt(p0 * (1.0 - p0) / result.trials)
-        if spread > 0:
-            z_score = gap / spread
-        else:
-            # Degenerate spread: the estimate either matches exactly or is
-            # certainly off.
-            z_score = 0.0 if gap == 0 else math.inf
+            variance = p0 * (1.0 - p0)
+        spread = math.sqrt(variance / result.trials)
+        # The variance is zero only for r = 0, where every draw is exactly 1.
+        z_score = (result.estimate - float(exact)) / spread if spread else 0.0
     record = {
         "n": result.n,
         "stat": result.statistic,
@@ -404,11 +401,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "std_error": result.std_error,
         "exact": None if exact is None else float(exact),
         "exact_fraction": None if exact is None else str(exact),
-        # A non-finite z (possible only in the degenerate-moment corner)
-        # would not survive strict JSON, so it is emitted as a string.
-        "z_score": z_score
-        if z_score is None or math.isfinite(z_score)
-        else repr(z_score),
+        "z_score": z_score,
     }
     params = {
         "n": args.n,

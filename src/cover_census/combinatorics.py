@@ -17,17 +17,16 @@ _bell_row: list[int] = [1]
 _stirling_rows: list[list[int]] = [[1]]
 
 
-def bell(n: int, *, cap: int = DEFAULT_BELL_CAP) -> int:
+def bell(n: int) -> int:
     """Return the n-th Bell number, the count of set partitions of [n].
 
-    Computed by the Bell triangle.  Arguments above ``cap`` are rejected so
-    the table size stays predictable; pass a larger cap explicitly to go
-    further.
+    Computed by the Bell triangle.  Arguments above ``DEFAULT_BELL_CAP``
+    are rejected so the table size stays predictable.
     """
     if n < 0:
         raise ValueError(f"bell() is undefined for negative n, got {n}")
-    if n > cap:
-        raise ValueError(f"bell({n}) exceeds the configured cap {cap}")
+    if n > DEFAULT_BELL_CAP:
+        raise ValueError(f"bell({n}) exceeds the configured cap {DEFAULT_BELL_CAP}")
     global _bell_row
     while len(_bell_values) <= n:
         row = [_bell_row[-1]]
@@ -38,17 +37,17 @@ def bell(n: int, *, cap: int = DEFAULT_BELL_CAP) -> int:
     return _bell_values[n]
 
 
-def stirling2(n: int, k: int, *, cap: int = DEFAULT_BELL_CAP) -> int:
+def stirling2(n: int, k: int) -> int:
     """Return the Stirling number of the second kind S(n, k).
 
     S(n, k) counts partitions of [n] into exactly k nonempty blocks; it is 0
     for k > n and for k = 0 < n.  Rows of the recurrence triangle are
-    memoized up to ``cap``.
+    memoized up to ``DEFAULT_BELL_CAP``.
     """
     if n < 0 or k < 0:
         raise ValueError(f"stirling2() needs n, k >= 0, got n={n}, k={k}")
-    if n > cap:
-        raise ValueError(f"stirling2({n}, {k}) exceeds the configured cap {cap}")
+    if n > DEFAULT_BELL_CAP:
+        raise ValueError(f"stirling2({n}, {k}) exceeds the cap {DEFAULT_BELL_CAP}")
     if k > n:
         return 0
     while len(_stirling_rows) <= n:
@@ -62,15 +61,13 @@ def stirling2(n: int, k: int, *, cap: int = DEFAULT_BELL_CAP) -> int:
     return _stirling_rows[n][k]
 
 
-def binomial(n: int, k: int) -> int:
-    """Return C(n, k), zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial() needs n, k >= 0, got n={n}, k={k}")
-    return math.comb(n, k)
+def separated_partitions(n: int) -> int:
+    """Count partitions of [2n] in which no twin pair {j, j + n} shares a block.
 
-
-def falling_factorial(n: int, r: int) -> int:
-    """Return n(n-1)...(n-r+1), zero when r > n and 1 when r = 0."""
-    if n < 0 or r < 0:
-        raise ValueError(f"falling_factorial() needs n, r >= 0, got n={n}, r={r}")
-    return math.perm(n, r)
+    Inclusion-exclusion over merged pairs gives sum_r (-1)^r C(n, r) B_{2n-r}.
+    """
+    if n < 0:
+        raise ValueError(f"separated_partitions() needs n >= 0, got {n}")
+    return sum(
+        (-1) ** r * math.comb(n, r) * bell(2 * n - r) for r in range(n + 1)
+    )

@@ -146,16 +146,6 @@ class TwoCover:
         )
 
 
-def fold_block(block: Iterable[int], n: int) -> frozenset[int]:
-    """Reduce a subset of [2n] onto [n] by mapping each twin j + n to j."""
-    folded = set()
-    for element in block:
-        if not 1 <= element <= 2 * n:
-            raise ValueError(f"element {element} outside [{2 * n}]")
-        folded.add(element if element <= n else element - n)
-    return frozenset(folded)
-
-
 def merged_twin_count(rgs: Sequence[int], n: int) -> int:
     """Count twin pairs {j, j + n} sharing a block, from a growth string."""
     if len(rgs) != 2 * n:
@@ -204,7 +194,7 @@ def classify_partition(partition: SetPartition, n: int) -> PartitionClassificati
     for block in blocks:
         members = set(block)
         merged += sum(1 for j in block if j <= n and j + n in members)
-    images = [fold_block(block, n) for block in blocks]
+    images = [frozenset(j if j <= n else j - n for j in block) for block in blocks]
     collisions = len(images) - len(set(images))
     separated = merged == 0
     cover = None
@@ -309,26 +299,54 @@ def _full_scan(
     )
 
 
-def merged_twin_histogram(n: int, *, limit: int | None = None) -> tuple[int, ...]:
-    """Distribution of the number of merged twin pairs over partitions of [2n].
-
-    Entry k counts partitions in which exactly k twin pairs share a block;
-    entry 0 is the number of separated partitions.
-    """
-    _check_oracle_size(n, limit)
-    return _full_scan(n)[0]
-
-
 def _mask_block(mask: int, n: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in range(n) if (mask >> j) & 1)
 
 
-def _key_duplicates(key: tuple[int, ...]) -> int:
-    return len(key) - len(set(key))
+@lru_cache(maxsize=None)
+def _classify_fibers(n: int) -> tuple:
+    """Classify every cover in the scan's fiber map, once.
 
-
-def _key_restricted(key: tuple[int, ...]) -> bool:
-    return all((a & b).bit_count() <= 1 for a, b in combinations(key, 2))
+    Returns s, t, u, v, the preimage total of the proper covers, the fiber
+    mismatches as (cover, expected 2^(n - repeated blocks), actual), and the
+    numbers of distinct line graphs and of line classes among the
+    restricted covers.
+    """
+    fibers = _full_scan(n)[4]
+    t = u = v = clean_total = 0
+    mismatches = []
+    graphs = set()
+    classes = set()
+    for key, preimages in fibers.items():
+        duplicates = len(key) - len(set(key))
+        if duplicates == 0:
+            t += 1
+            clean_total += preimages
+        if preimages != 1 << (n - duplicates):
+            cover = TwoCover.from_blocks(n, [_mask_block(mask, n) for mask in key])
+            mismatches.append((cover, 1 << (n - duplicates), preimages))
+        if any((a & b).bit_count() > 1 for a, b in combinations(key, 2)):
+            continue
+        u += 1
+        v += duplicates == 0
+        blocks = [_mask_block(mask, n) for mask in key]
+        graphs.add(frozenset(e for block in blocks for e in combinations(block, 2)))
+        # Each element lies in exactly two blocks, so three two-element
+        # blocks on three elements use every slot of those elements: a
+        # triangle is always a whole component, and finding the triangles
+        # among the two-element blocks is enough.  Distinct two-element
+        # masks a < b share one element exactly when a ^ b has two bits.
+        pairs = [mask for mask in key if mask.bit_count() == 2]
+        triangles = [
+            (a, b, a ^ b)
+            for a, b in combinations(pairs, 2)
+            if a ^ b > b and a ^ b in pairs
+        ]
+        in_triangles = {mask for triangle in triangles for mask in triangle}
+        stars = [m for a, b, c in triangles for m in (a | b, a & b, a & c, b & c)]
+        classes.add(tuple(sorted([m for m in key if m not in in_triangles] + stars)))
+    mismatches = tuple(mismatches)
+    return len(fibers), t, u, v, clean_total, mismatches, len(graphs), len(classes)
 
 
 @dataclass(frozen=True)
@@ -363,23 +381,13 @@ def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
     giving two exact identities that must hold before returning.
     """
     _check_oracle_size(n, limit)
-    twin_histogram, separated, image_distinct, collision_histogram, fibers = _full_scan(n)
+    twin_histogram, separated, image_distinct, collision_histogram, _ = _full_scan(n)
     total = bell(2 * n)
     if sum(twin_histogram) != total:
         raise ConsistencyError(
             f"twin histogram sums to {sum(twin_histogram)}, expected Bell({2 * n}) = {total}"
         )
-    s = t = u = v = 0
-    for key in fibers:
-        duplicates = _key_duplicates(key)
-        restricted = _key_restricted(key)
-        s += 1
-        if duplicates == 0:
-            t += 1
-            if restricted:
-                v += 1
-        if restricted:
-            u += 1
+    s, t, u, v = _classify_fibers(n)[:4]
     weighted = sum(
         count * (1 << d) for d, count in enumerate(collision_histogram)
     )
@@ -427,27 +435,13 @@ class FiberCheck:
 def fiber_check(n: int, *, limit: int | None = None) -> FiberCheck:
     """Check every cover's preimage count against 2^(n - duplicate pairs)."""
     _check_oracle_size(n, limit)
-    _, _, _, collision_histogram, fibers = _full_scan(n)
-    mismatches = []
-    proper_covers = 0
-    clean_total = 0
-    for key, actual in fibers.items():
-        duplicates = _key_duplicates(key)
-        if duplicates == 0:
-            proper_covers += 1
-            clean_total += actual
-        expected = 1 << (n - duplicates)
-        if actual != expected:
-            cover = TwoCover.from_blocks(
-                n, [_mask_block(mask, n) for mask in key]
-            )
-            mismatches.append((cover, expected, actual))
+    covers, proper_covers, _, _, clean_total, mismatches, _, _ = _classify_fibers(n)
     return FiberCheck(
         n=n,
-        covers=len(fibers),
+        covers=covers,
         proper_covers=proper_covers,
-        clean_preimage_total_ok=clean_total == collision_histogram[0],
-        mismatches=tuple(mismatches),
+        clean_preimage_total_ok=clean_total == _full_scan(n)[3][0],
+        mismatches=mismatches,
     )
 
 
@@ -465,42 +459,7 @@ def oracle_line_count(n: int, *, limit: int | None = None) -> int:
     the only way two covers can share a line graph.
     """
     _check_oracle_size(n, limit)
-    fibers = _full_scan(n)[4]
-    graphs = set()
-    for key in fibers:
-        if not _key_restricted(key):
-            continue
-        edges = set()
-        for mask in key:
-            edges.update(combinations(_mask_block(mask, n), 2))
-        graphs.add(frozenset(edges))
-    return len(graphs)
-
-
-def _cover_components(key: tuple[int, ...], n: int) -> list[list[int]]:
-    """Split a cover's block masks into connected components.
-
-    Blocks are connected when they share an element, mirroring the
-    components of the underlying graph whose vertices are the blocks.
-    """
-    parent = list(range(len(key)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for bit in range(n):
-        owners = [i for i, mask in enumerate(key) if (mask >> bit) & 1]
-        for other in owners[1:]:
-            a, b = find(owners[0]), find(other)
-            if a != b:
-                parent[b] = a
-    grouped: dict[int, list[int]] = {}
-    for i, mask in enumerate(key):
-        grouped.setdefault(find(i), []).append(mask)
-    return list(grouped.values())
+    return _classify_fibers(n)[6]
 
 
 def oracle_line_class_count(n: int, *, limit: int | None = None) -> int:
@@ -515,26 +474,4 @@ def oracle_line_class_count(n: int, *, limit: int | None = None) -> int:
     matches the table's line column exactly.
     """
     _check_oracle_size(n, limit)
-    fibers = _full_scan(n)[4]
-    classes = set()
-    for key in fibers:
-        if not _key_restricted(key):
-            continue
-        canonical: list[int] = []
-        for component in _cover_components(key, n):
-            union = 0
-            for mask in component:
-                union |= mask
-            if (
-                len(component) == 3
-                and union.bit_count() == 3
-                and all(mask.bit_count() == 2 for mask in component)
-            ):
-                canonical.append(union)
-                canonical.extend(
-                    1 << bit for bit in range(n) if (union >> bit) & 1
-                )
-            else:
-                canonical.extend(component)
-        classes.add(tuple(sorted(canonical)))
-    return len(classes)
+    return _classify_fibers(n)[7]

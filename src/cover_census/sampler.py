@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .combinatorics import bell, binomial, falling_factorial
+from .combinatorics import bell
 from .oracle import SetPartition, image_collision_count, merged_twin_count
 
 _MASK64 = (1 << 64) - 1
@@ -83,7 +83,7 @@ def _block_size(m: int, draw: int) -> int:
         cum = _cumulative[m] = [bell(m - 1)]
     while draw >= cum[-1]:
         k = len(cum) + 1
-        cum.append(cum[-1] + binomial(m - 1, k - 1) * bell(m - k))
+        cum.append(cum[-1] + math.comb(m - 1, k - 1) * bell(m - k))
     return bisect_right(cum, draw) + 1
 
 
@@ -165,7 +165,7 @@ def estimate_twin_moment(n: int, r: int, config: SamplerConfig) -> Estimate:
     if not 0 <= r <= n:
         raise ValueError(f"estimate_twin_moment() needs 0 <= r <= n, got r={r}")
     total, total_squares = _run_trials(
-        n, config, lambda rgs: falling_factorial(merged_twin_count(rgs, n), r)
+        n, config, lambda rgs: math.perm(merged_twin_count(rgs, n), r)
     )
     trials = config.trials
     mean = total / trials

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .combinatorics import DEFAULT_BELL_CAP, bell, stirling2
+from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions, stirling2
 from .errors import ConsistencyError
 from .series import PowerSeries
 
@@ -257,25 +257,42 @@ def _check_sequence_match(name: str, expected: Sequence[int], series: PowerSerie
             )
 
 
-def full_table(
-    max_n: int,
-    *,
-    bell_cap: int = DEFAULT_BELL_CAP,
-) -> SequenceTable:
+def _check_separated_route(t: Sequence[int]) -> None:
+    """Check every t_n against the separated partitions of [2n].
+
+    A repeated block of a 2-cover is a whole component, so a cover is a
+    proper cover of k elements beside a doubled set partition of the other
+    n - k into j blocks, with 2^(n - j) separated preimages.  Hence
+    sum_r (-1)^r C(n, r) B_{2n-r} = sum_k C(n, k) 2^k t_k w_{n-k}, with
+    w_m = sum_j S(m, j) 2^(m-j); the left side uses Bell numbers only.
+    """
+    w = [sum(stirling2(m, j) << (m - j) for j in range(m + 1)) for m in range(len(t))]
+    for n in range(len(t)):
+        separated = separated_partitions(n)
+        folded = sum(comb(n, k) * (t[k] << k) * w[n - k] for k in range(n + 1))
+        if folded != separated:
+            raise ConsistencyError(
+                "separated-partition route (T vs inclusion-exclusion over"
+                f" merged twins): first mismatch at n={n}: {separated} vs {folded}"
+            )
+
+
+def full_table(max_n: int) -> SequenceTable:
     """Compute the five sequences to ``max_n`` with redundant verification.
 
     Every derived route is recomputed a second way and compared: the
     collapsed extraction is spot-checked against the literal block-count
-    grid, the binomial and Stirling transforms against series products
-    and compositions, and the line-graph counts against their two product
+    grid, every t_n against the separated partitions of [2n], the
+    binomial and Stirling transforms against series products and
+    compositions, and the line-graph counts against their two product
     forms.  Any disagreement raises ConsistencyError.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
-    if 2 * max_n > bell_cap:
+    if 2 * max_n > DEFAULT_BELL_CAP:
         raise ValueError(
             f"full_table({max_n}) needs Bell numbers to {2 * max_n}, above the"
-            f" cap {bell_cap}"
+            f" cap {DEFAULT_BELL_CAP}"
         )
     v = restricted_proper_sequence(max_n)
 
@@ -289,6 +306,7 @@ def full_table(
 
     u = binomial_transform(v)
     t = stirling_transform(v)
+    _check_separated_route(t)
     s = stirling_transform(u)
     v_series = PowerSeries.from_sequence(v, max_n)
     l = line_transform(v_series)
@@ -326,7 +344,7 @@ def full_table(
                 f"s={s[n]} t={t[n]} u={u[n]} v={v[n]} l={l[n]}"
             )
         rows.append(
-            TableRow(n, s[n], t[n], u[n], v[n], l[n], bell(2 * n, cap=bell_cap))
+            TableRow(n, s[n], t[n], u[n], v[n], l[n], bell(2 * n))
         )
     if rows[0] != TableRow(0, 1, 1, 1, 1, 1, 1):
         raise ConsistencyError(f"row 0 should be all ones, got {rows[0]}")

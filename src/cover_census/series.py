@@ -55,19 +55,15 @@ class PowerSeries:
             )
 
     @staticmethod
-    def from_coeffs(values: Sequence[Scalar], degree: int | None = None) -> "PowerSeries":
+    def from_coeffs(values: Sequence[Scalar], degree: int) -> "PowerSeries":
         """Build a series from coefficients, padding with zeros or truncating."""
-        if degree is None:
-            degree = max(len(values) - 1, 0)
         coeffs = [_as_fraction(v) for v in values[: degree + 1]]
         coeffs.extend([_ZERO] * (degree + 1 - len(coeffs)))
         return PowerSeries(degree, tuple(coeffs))
 
     @staticmethod
-    def from_sequence(values: Sequence[Scalar], degree: int | None = None) -> "PowerSeries":
+    def from_sequence(values: Sequence[Scalar], degree: int) -> "PowerSeries":
         """Build the EGF of a sequence: coefficient of x^k is values[k] / k!."""
-        if degree is None:
-            degree = max(len(values) - 1, 0)
         coeffs = [
             _as_fraction(values[k]) / factorial(k) if k < len(values) else _ZERO
             for k in range(degree + 1)

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 import scipy.special
 
+from cover_census import asymptotics
 from cover_census.asymptotics import (
     REPORT_NOTE,
     asymptotic_report,
@@ -19,13 +20,14 @@ from cover_census.asymptotics import (
     log_restricted_estimate,
     log_saddle_estimate,
     merged_twin_moment,
+    merged_twin_moment_variance,
     ratio_trends,
     report_grid,
     saddle_block_count,
     separation_probability,
     separation_ratio,
 )
-from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, falling_factorial
+from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
 from cover_census.oracle import oracle_counts
 
 
@@ -34,20 +36,18 @@ class TestLambertW:
         "t", [1.0, 2.0, math.e, 10.0, 1e6, 1e12, 0.01, 0.5, 1e3, 1e9, 1e15]
     )
     def test_defining_identity(self, t):
-        value = lambert_w(t)
-        assert value.t == t
-        assert value.residual <= 1e-12
-        assert abs(value.w * math.exp(value.w) - t) <= 1e-12 * t
+        w = lambert_w(t)
+        assert abs(w * math.exp(w) - t) <= 1e-12 * t
 
     def test_closed_form_points(self):
-        assert lambert_w(math.e).w == pytest.approx(1.0, abs=1e-12)
-        assert lambert_w(2.0 * math.e**2).w == pytest.approx(2.0, abs=1e-12)
+        assert lambert_w(math.e) == pytest.approx(1.0, abs=1e-12)
+        assert lambert_w(2.0 * math.e**2) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("exponent", range(-2, 15))
     def test_matches_scipy(self, exponent):
         t = 10.0**exponent
         reference = float(scipy.special.lambertw(t).real)
-        assert lambert_w(t).w == pytest.approx(reference, rel=1e-10)
+        assert lambert_w(t) == pytest.approx(reference, rel=1e-10)
 
     def test_requires_positive_argument(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestLambertW:
             lambert_w(-1.0)
 
     def test_monotone(self):
-        values = [lambert_w(t).w for t in (0.1, 1.0, 10.0, 100.0, 1e6)]
+        values = [lambert_w(t) for t in (0.1, 1.0, 10.0, 100.0, 1e6)]
         assert values == sorted(values)
         assert values[0] > 0
 
@@ -155,10 +155,27 @@ class TestExactProbabilities:
         histogram = oracle_counts(n).merged_twin_histogram
         for r in range(n + 1):
             weighted = sum(
-                count * falling_factorial(x, r)
+                count * math.perm(x, r)
                 for x, count in enumerate(histogram)
             )
             assert merged_twin_moment(n, r) == Fraction(weighted, bell(2 * n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_moment_variance_matches_oracle_histogram(self, n):
+        histogram = oracle_counts(n).merged_twin_histogram
+        for r in range(n + 1):
+            values = [math.perm(x, r) for x in range(n + 1)]
+            mean = Fraction(
+                sum(c * y for c, y in zip(histogram, values)), bell(2 * n)
+            )
+            second = Fraction(
+                sum(c * y * y for c, y in zip(histogram, values)), bell(2 * n)
+            )
+            assert merged_twin_moment_variance(n, r) == second - mean * mean
+
+    def test_moment_variance_vanishes_only_at_r0(self):
+        assert merged_twin_moment_variance(6, 0) == 0
+        assert all(merged_twin_moment_variance(6, r) > 0 for r in range(1, 7))
 
     def test_moment_closed_form(self):
         assert merged_twin_moment(2, 1) == Fraction(2, 3)
@@ -250,8 +267,9 @@ class TestReport:
                 math.exp(row.log_v - row.est_uvl), rel=1e-12
             )
 
-    def test_report_asymptotic_fallback(self):
-        report = asymptotic_report(20, bell_cap=16)
+    def test_report_asymptotic_fallback(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 16)
+        report = asymptotic_report(20)
         by_n = {row.n: row for row in report.rows}
         assert by_n[4].bell_source == "exact"
         assert by_n[8].bell_source == "exact"
@@ -262,15 +280,8 @@ class TestReport:
             assert row.ratio_v is None
             assert row.est_st < row.log_bell_2n
 
-    def test_custom_grid_validation(self):
-        report = asymptotic_report(12, grid=[2, 12])
-        assert [row.n for row in report.rows] == [2, 12]
-        with pytest.raises(ValueError):
-            asymptotic_report(12, grid=[1, 12])
-        with pytest.raises(ValueError):
-            asymptotic_report(12, grid=[4, 40])
-        with pytest.raises(ValueError):
-            asymptotic_report(12, grid=[])
+    def test_max_n_below_two_rejected(self):
+        assert [row.n for row in asymptotic_report(2).rows] == [2]
         with pytest.raises(ValueError):
             asymptotic_report(1)
 
@@ -283,6 +294,14 @@ class TestReport:
             assert check.last_n == 64
             assert check.improved
 
-    def test_trends_need_two_exact_rows(self):
-        report = asymptotic_report(20, bell_cap=16, grid=[16, 20])
+    def test_trends_need_two_exact_rows(self, monkeypatch):
+        # Under a Bell cap of 8 only the n = 4 row of 4, 8, 16, 20 is exact.
+        monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 8)
+        report = asymptotic_report(20)
+        assert [row.bell_source for row in report.rows] == [
+            "exact",
+            "asymptotic",
+            "asymptotic",
+            "asymptotic",
+        ]
         assert ratio_trends(report) == []

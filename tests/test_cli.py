@@ -8,6 +8,7 @@ the wrapper an installer would generate from the cover-census entry in
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,9 +18,18 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census.cli import ORACLE_LIMIT_ENV, REPORT_FIELDS, main
+from cover_census import cli
+from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
+from cover_census.cli import ORACLE_LIMIT_ENV, main
+from cover_census.sequences import full_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+REPORT_HEADER = (
+    "n,bell_source,log_bell_2n,est_st,est_uvl,est_saddle,saddle_blocks,"
+    "log_s,log_t,log_u,log_v,log_l,"
+    "ratio_s,ratio_t,ratio_u,ratio_v,ratio_l,ratio_v_saddle"
+)
 
 GOLDEN_TABLE_3 = (
     "n,s,t,u,v,l,bell2n\n"
@@ -113,6 +123,27 @@ class TestTableCommand:
         assert main(["table", "--max-n", "513"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", [256, 257, 512])
+    def test_large_table_is_announced(self, capsys, monkeypatch, max_n):
+        monkeypatch.setattr(cli, "full_table", lambda n: full_table(3))
+        assert main(["table", "--max-n", str(max_n)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN_TABLE_3
+        if max_n == 256:
+            assert captured.err == ""
+        else:
+            assert captured.err == (
+                f"cover-census: building the exact table to n={max_n};"
+                " above n=256 this takes minutes\n"
+            )
+
+    def test_refused_table_is_not_announced(self, capsys):
+        assert main(["table", "--max-n", "600"]) == 2
+        assert capsys.readouterr().err == (
+            "cover-census: error: full_table(600) needs Bell numbers to 1200,"
+            " above the cap 1024\n"
+        )
+
     def test_negative_max_n_is_usage_error(self):
         result = run_cli("table", "--max-n", "-1")
         assert result.returncode == 2
@@ -159,7 +190,7 @@ class TestAsymptoticsCommand:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert lines[0].startswith("# ")
-        assert lines[1] == ",".join(REPORT_FIELDS)
+        assert lines[1] == REPORT_HEADER
         assert len(lines) == 4
         assert lines[2].startswith("4,exact,")
         assert lines[3].startswith("8,exact,")
@@ -177,13 +208,27 @@ class TestAsymptoticsCommand:
         assert payload["note"]
         assert [row["n"] for row in payload["rows"]] == [4, 8]
         row = payload["rows"][0]
-        assert set(row) == set(REPORT_FIELDS)
+        assert list(row) == REPORT_HEADER.split(",")
         assert isinstance(row["ratio_v"], float)
         assert row["bell_source"] == "exact"
 
     def test_small_max_n_is_usage_error(self, capsys):
         assert main(["asymptotics", "--max-n", "1"]) == 2
         assert "max-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n, exact_n", [(256, None), (300, 300), (600, 512)])
+    def test_large_exact_table_is_announced(self, capsys, monkeypatch, max_n, exact_n):
+        monkeypatch.setattr(cli, "asymptotic_report", lambda n: asymptotic_report(8))
+        assert main(["asymptotics", "--max-n", str(max_n)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("trend ")] == (
+            []
+            if exact_n is None
+            else [
+                f"cover-census: building the exact table to n={exact_n};"
+                " above n=256 this takes minutes"
+            ]
+        )
 
 
 class TestSampleCommand:
@@ -246,6 +291,27 @@ class TestSampleCommand:
         record = json.loads(capsys.readouterr().out)["rows"][0]
         assert record["exact_fraction"] == "2/3"
         assert record["r"] == 1
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_moment_with_all_draws_zero_passes(self, capsys, seed):
+        # (X)_6 of a partition of [12] is nonzero only when all six twin
+        # pairs merge, so 50 draws are all zero and their own spread is 0;
+        # the score test divides by the exact spread instead.
+        argv = ["sample", "--n", "6", "--stat", "moment", "--r", "6"]
+        assert main(argv + ["--trials", "50", "--seed", str(seed)]) == 0
+        record = json.loads(capsys.readouterr().out)["rows"][0]
+        assert record["estimate"] == 0.0
+        assert record["std_error"] == 0.0
+        spread = math.sqrt(float(merged_twin_moment_variance(6, 6)) / 50)
+        assert record["z_score"] == -record["exact"] / spread
+        assert abs(record["z_score"]) < 0.1
+
+    def test_zeroth_moment_has_zero_z(self, capsys):
+        argv = ["sample", "--n", "3", "--stat", "moment", "--r", "0"]
+        assert main(argv + ["--trials", "20", "--seed", "1"]) == 0
+        record = json.loads(capsys.readouterr().out)["rows"][0]
+        assert record["estimate"] == record["exact"] == 1.0
+        assert record["z_score"] == 0.0
 
     def test_collision_beyond_oracle_limit_has_no_exact(self, capsys):
         code = main(

@@ -8,14 +8,12 @@ code they are checking.
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from cover_census import combinatorics
 from cover_census.combinatorics import (
     DEFAULT_BELL_CAP,
     bell,
-    binomial,
-    falling_factorial,
+    separated_partitions,
     stirling2,
 )
 
@@ -32,14 +30,25 @@ STIRLING_KNOWN = [
 ]
 
 
-def count_partitions_brute(size: int, blocks: int | None = None) -> int:
-    """Count set partitions of [size] by recursive label assignment."""
+def count_partitions_brute(
+    size: int, blocks: int | None = None, separated: int | None = None
+) -> int:
+    """Count set partitions of [size] by recursive label assignment.
+
+    With ``separated=n`` only partitions in which no element j shares a
+    block with j + n are counted.
+    """
+    labels = [0] * size
 
     def rec(position: int, used: int) -> int:
         if position == size:
             return 1 if blocks is None or used == blocks else 0
         total = 0
         for label in range(used + 1):
+            if separated and position >= separated:
+                if labels[position - separated] == label:
+                    continue
+            labels[position] = label
             total += rec(position + 1, used + (1 if label == used else 0))
         return total
 
@@ -57,17 +66,18 @@ class TestBell:
     def test_binomial_recurrence(self):
         for n in range(40):
             assert bell(n + 1) == sum(
-                binomial(n, k) * bell(k) for k in range(n + 1)
+                math.comb(n, k) * bell(k) for k in range(n + 1)
             )
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bell(-1)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "DEFAULT_BELL_CAP", 6)
         with pytest.raises(ValueError):
-            bell(7, cap=6)
-        assert bell(6, cap=6) == 203
+            bell(7)
+        assert bell(6) == 203
 
     def test_default_cap_value(self):
         assert DEFAULT_BELL_CAP == 1024
@@ -105,59 +115,20 @@ class TestStirling2:
         with pytest.raises(ValueError):
             stirling2(3, -1)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "DEFAULT_BELL_CAP", 8)
         with pytest.raises(ValueError):
-            stirling2(9, 3, cap=8)
+            stirling2(9, 3)
+        assert stirling2(8, 3) == 966
 
 
-class TestBinomial:
-    def test_pascal_triangle(self):
-        rows = [[1]]
-        for _ in range(20):
-            prev = rows[-1]
-            rows.append(
-                [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
+class TestSeparatedPartitions:
+    def test_matches_brute_force(self):
+        for n in range(5):
+            assert separated_partitions(n) == count_partitions_brute(
+                2 * n, separated=n
             )
-        for n, row in enumerate(rows):
-            for k, value in enumerate(row):
-                assert binomial(n, k) == value
-
-    @given(st.integers(0, 200), st.integers(0, 200))
-    def test_symmetry(self, n, k):
-        if k <= n:
-            assert binomial(n, k) == binomial(n, n - k)
-
-    def test_beyond_range_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(0, 1) == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-
-class TestFallingFactorial:
-    def test_matches_product(self):
-        for n in range(12):
-            for r in range(n + 1):
-                expected = 1
-                for i in range(r):
-                    expected *= n - i
-                assert falling_factorial(n, r) == expected
-
-    def test_edge_cases(self):
-        assert falling_factorial(5, 0) == 1
-        assert falling_factorial(0, 0) == 1
-        assert falling_factorial(3, 5) == 0
-
-    @given(st.integers(0, 100), st.integers(0, 100))
-    def test_relates_to_binomial(self, n, r):
-        assert falling_factorial(n, r) == binomial(n, r) * math.factorial(r)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            falling_factorial(-2, 1)
-        with pytest.raises(ValueError):
-            falling_factorial(2, -1)
+            separated_partitions(-1)

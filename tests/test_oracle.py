@@ -21,10 +21,8 @@ from cover_census.oracle import (
     classify_partition,
     enumerate_partitions,
     fiber_check,
-    fold_block,
     image_collision_count,
     merged_twin_count,
-    merged_twin_histogram,
     oracle_counts,
     oracle_line_class_count,
     oracle_line_count,
@@ -143,12 +141,6 @@ class TestTwoCover:
 
 
 class TestFolding:
-    def test_fold_block(self):
-        assert fold_block([1, 5, 3], 3) == frozenset({1, 2, 3})
-        assert fold_block([4], 3) == frozenset({1})
-        with pytest.raises(ValueError):
-            fold_block([7], 3)
-
     def test_helpers_require_even_ground(self):
         with pytest.raises(ValueError):
             merged_twin_count((0, 0, 0), 2)
@@ -242,13 +234,11 @@ class TestOracleCensus:
         with pytest.raises(ValueError):
             oracle_counts(3, limit=2)
         with pytest.raises(ValueError):
-            merged_twin_histogram(DEFAULT_ORACLE_LIMIT + 1)
-        with pytest.raises(ValueError):
             oracle_counts(-1)
 
     def test_twin_histogram_route(self):
-        assert merged_twin_histogram(2) == (7, 6, 2)
-        assert sum(merged_twin_histogram(4)) == bell(8)
+        assert oracle_counts(2).merged_twin_histogram == (7, 6, 2)
+        assert sum(oracle_counts(4).merged_twin_histogram) == bell(8)
 
 
 class TestFiberStructure:

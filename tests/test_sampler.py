@@ -12,7 +12,7 @@ import scipy.stats
 from cover_census import sampler
 from cover_census.asymptotics import merged_twin_moment, separation_probability
 from cover_census.cli import main
-from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, binomial
+from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
 from cover_census.oracle import SetPartition, oracle_counts
 from cover_census.sampler import (
     Estimate,
@@ -86,7 +86,7 @@ def _linear_block_size(m, draw):
     """Reference: scan the exact weights C(m-1, k-1) B_{m-k} in order."""
     k = 1
     while True:
-        weight = binomial(m - 1, k - 1) * bell(m - k)
+        weight = math.comb(m - 1, k - 1) * bell(m - k)
         if draw < weight:
             return k
         draw -= weight
@@ -112,7 +112,7 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("m", [50, 100, 200])
     def test_boundary_draws_in_and_out_of_order(self, m):
-        weights = [binomial(m - 1, k - 1) * bell(m - k) for k in range(1, m + 1)]
+        weights = [math.comb(m - 1, k - 1) * bell(m - k) for k in range(1, m + 1)]
         cumulative = list(accumulate(weights))
         cases = [(0, 1), (cumulative[-1] - 1, m)]
         for i in range(m - 1):

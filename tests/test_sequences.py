@@ -2,12 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from cover_census import sequences
-from cover_census.combinatorics import bell, binomial, stirling2
+from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, stirling2
 from cover_census.errors import ConsistencyError
 from cover_census.oracle import classify_partition, enumerate_partitions
 from cover_census.sequences import (
@@ -51,7 +51,7 @@ class TestTransforms:
         out = binomial_transform(values)
         for n in range(5):
             assert out[n] == sum(
-                binomial(n, k) * values[k] for k in range(n + 1)
+                comb(n, k) * values[k] for k in range(n + 1)
             )
 
     def test_stirling_transform_of_ones_is_bell(self):
@@ -144,8 +144,8 @@ class TestFullTable:
             full_table(-1)
 
     def test_bell_cap_respected(self):
-        with pytest.raises(ValueError):
-            full_table(4, bell_cap=6)
+        with pytest.raises(ValueError, match="above the cap"):
+            full_table(DEFAULT_BELL_CAP // 2 + 1)
 
 
 class TestSequenceConsistencyMachinery:
@@ -167,3 +167,20 @@ class TestSequenceConsistencyMachinery:
         monkeypatch.setattr(sequences, "restricted_proper_sequence", perturbed)
         with pytest.raises(ConsistencyError, match="literal block-count"):
             full_table(8)
+
+    @pytest.mark.parametrize("k", [9, 20, 32])
+    def test_separated_route_catches_perturbed_v(self, monkeypatch, k):
+        # Beyond the spot-check degree only the separated-partition route
+        # sees v: every other check compares transforms of the same v.
+        collapsed = sequences.restricted_proper_sequence
+
+        def perturbed(max_n):
+            values = collapsed(max_n)
+            values[k] += 1
+            return values
+
+        monkeypatch.setattr(sequences, "restricted_proper_sequence", perturbed)
+        with pytest.raises(
+            ConsistencyError, match=f"separated-partition route.*at n={k}:"
+        ):
+            full_table(32)

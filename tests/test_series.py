@@ -31,10 +31,6 @@ class TestConstruction:
         s = PowerSeries.from_coeffs([1, 2, 3, 4], 2)
         assert s.coeffs == (1, 2, 3)
 
-    def test_from_coeffs_infers_degree(self):
-        assert PowerSeries.from_coeffs([5, 6, 7]).degree == 2
-        assert PowerSeries.from_coeffs([]).degree == 0
-
     def test_from_sequence_divides_by_factorials(self):
         s = PowerSeries.from_sequence([1, 2, 6], 4)
         assert s.coeffs == (1, 2, 3, 0, 0)
