@@ -197,14 +197,10 @@ def image_collision_bound(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"image_collision_bound() needs n >= 0, got {n}")
-    total = Fraction(0)
-    denominator = bell(2 * n)
-    for k in range(1, n + 1):
-        total += Fraction(
-            math.comb(n, k) * (1 << k) * bell(2 * n - 2 * k),
-            denominator,
-        )
-    return total
+    numerator = sum(
+        math.comb(n, k) * (1 << k) * bell(2 * n - 2 * k) for k in range(1, n + 1)
+    )
+    return Fraction(numerator, bell(2 * n))
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ from .sampler import (
 )
 from .sequences import SequenceTable, full_table
 
-ORACLE_LIMIT_ENV = "COVER_CENSUS_ORACLE_LIMIT"
-
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
 REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(ReportRow))
@@ -129,19 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _usage_error(message: str) -> int:
     print(f"cover-census: error: {message}", file=sys.stderr)
     return 2
-
-
-def _oracle_limit() -> int:
-    raw = os.environ.get(ORACLE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ORACLE_LIMIT_ENV} must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"{ORACLE_LIMIT_ENV} must be >= 0, got {value}")
-    return value
 
 
 def _table_to_csv(table: SequenceTable) -> str:
@@ -261,16 +246,11 @@ def _check_line(label: str, ok: bool, lines: list[str]) -> bool:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        limit = _oracle_limit()
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    allowed = limit + 1 if args.slow else limit
+    allowed = DEFAULT_ORACLE_LIMIT + 1 if args.slow else DEFAULT_ORACLE_LIMIT
     if args.n > allowed:
         flag_hint = "" if args.slow else " (pass --slow for one size more)"
         return _usage_error(
-            f"--n {args.n} exceeds the oracle limit {allowed}{flag_hint};"
-            f" set {ORACLE_LIMIT_ENV} to raise it"
+            f"--n {args.n} exceeds the oracle limit {allowed}{flag_hint}"
         )
     n = args.n
     census = oracle_counts(n, limit=allowed)
@@ -335,19 +315,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _sample_exact(args: argparse.Namespace, limit: int) -> Fraction | None:
+def _sample_exact(args: argparse.Namespace) -> Fraction | None:
     if args.stat == "p-x0":
         return separation_probability(args.n)
     if args.stat == "moment":
         return merged_twin_moment(args.n, args.r)
-    if args.n <= limit:
+    if args.n <= DEFAULT_ORACLE_LIMIT:
         size = 2 * args.n
         print(
             f"cover-census: exact p-collision scans all Bell({size}) ="
             f" {bell(size)} partitions of [{size}]",
             file=sys.stderr,
         )
-        census = oracle_counts(args.n, limit=limit)
+        census = oracle_counts(args.n)
         return Fraction(census.bell_2n - census.image_distinct, census.bell_2n)
     return None
 
@@ -364,7 +344,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"above the Bell cap {DEFAULT_BELL_CAP}"
         )
     try:
-        limit = _oracle_limit()
         config = SamplerConfig(trials=args.trials, seed=args.seed)
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -375,7 +354,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             result = estimate_twin_moment(args.n, args.r, config)
         else:
             result = estimate_collision_probability(args.n, config)
-        exact = _sample_exact(args, limit)
+        exact = _sample_exact(args)
     except ValueError as exc:
         return _usage_error(str(exc))
     z_score: float | None = None

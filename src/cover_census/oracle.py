@@ -421,9 +421,7 @@ def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
 class FiberCheck:
     """Result of verifying preimage counts of the folding map."""
 
-    n: int
     covers: int
-    proper_covers: int
     clean_preimage_total_ok: bool
     mismatches: tuple[tuple[TwoCover, int, int], ...]
 
@@ -435,11 +433,9 @@ class FiberCheck:
 def fiber_check(n: int, *, limit: int | None = None) -> FiberCheck:
     """Check every cover's preimage count against 2^(n - duplicate pairs)."""
     _check_oracle_size(n, limit)
-    covers, proper_covers, _, _, clean_total, mismatches, _, _ = _classify_fibers(n)
+    covers, _, _, _, clean_total, mismatches, _, _ = _classify_fibers(n)
     return FiberCheck(
-        n=n,
         covers=covers,
-        proper_covers=proper_covers,
         clean_preimage_total_ok=clean_total == _full_scan(n)[3][0],
         mismatches=mismatches,
     )

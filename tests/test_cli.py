@@ -20,7 +20,7 @@ import pytest
 import cover_census
 from cover_census import cli
 from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
-from cover_census.cli import ORACLE_LIMIT_ENV, main
+from cover_census.cli import main
 from cover_census.sequences import full_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -165,23 +165,23 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "--slow" in err
 
-    def test_env_override_lowers_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "2")
+    def test_slow_flag_allows_one_more(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_ORACLE_LIMIT", 2)
         assert main(["oracle", "--n", "3"]) == 2
         capsys.readouterr()
-        assert main(["oracle", "--n", "2"]) == 0
-
-    def test_slow_flag_allows_one_more(self, capsys, monkeypatch):
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "2")
         assert main(["oracle", "--n", "3", "--slow"]) == 0
         out = capsys.readouterr().out
         assert "result: PASS" in out
 
-    def test_env_override_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "many")
-        assert main(["oracle", "--n", "2"]) == 2
-        monkeypatch.setenv(ORACLE_LIMIT_ENV, "-3")
-        assert main(["oracle", "--n", "2"]) == 2
+    def test_environment_does_not_move_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("COVER_CENSUS_ORACLE_LIMIT", "2")
+        assert main(["oracle", "--n", "3"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("result: PASS")
+        assert main(["oracle", "--n", "7"]) == 2
+        assert capsys.readouterr().err == (
+            "cover-census: error: --n 7 exceeds the oracle limit 6"
+            " (pass --slow for one size more)\n"
+        )
 
 
 class TestAsymptoticsCommand:

@@ -14,7 +14,6 @@ import pytest
 from cover_census.combinatorics import bell
 from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
-    OracleCensus,
     SetPartition,
     TwoCover,
     _full_scan,
@@ -248,7 +247,6 @@ class TestFiberStructure:
         assert result.ok
         assert result.mismatches == ()
         assert result.covers == oracle_counts(n).s
-        assert result.proper_covers == oracle_counts(n).t
 
 
 class TestLineGraphs:

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-from fractions import Fraction
 from itertools import accumulate
 
 import pytest
