@@ -4,15 +4,16 @@ Give each element j of [n] a twin j + n and fold any subset of [2n] back
 onto [n] by reducing twins mod n.  A set partition of [2n] is *separated*
 when no block contains both members of a twin pair; folding the blocks of a
 separated partition yields a multiset of subsets covering every element of
-[n] exactly twice, that is, a 2-cover.  Scanning all partitions of [2n]
+[n] exactly twice, that is, a 2-cover.  Counting all partitions of [2n]
 therefore counts 2-covers with known multiplicities: a cover whose block
 multiset has d repeated blocks arises from exactly 2^(n - d) separated
 partitions, because each twin pair may be swapped independently except
-across a repeated block.
+across a repeated block.  The scan counts them one element at a time,
+merging partial partitions whose folded blocks agree.
 
 Everything here is exhaustive and independent of the generating-function
 pipeline, so agreement between the two is strong evidence of correctness.
-Sizes are capped (Bell(2n) partitions get scanned) by an explicit limit.
+Sizes are capped by an explicit limit.
 """
 
 from __future__ import annotations
@@ -220,6 +221,23 @@ def _check_oracle_size(n: int, limit: int | None) -> None:
         )
 
 
+def _placements(
+    layer: dict[tuple[int, ...], int], bit: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield every partial partition of ``layer`` with one more element placed.
+
+    The element, with folded bit ``bit``, joins each block in turn or opens
+    a new one; each outcome comes as a sorted mask tuple with its count.
+    """
+    for masks, count in layer.items():
+        for b, mask in enumerate(masks):
+            joined = list(masks)
+            joined[b] = mask | bit
+            joined.sort()
+            yield tuple(joined), count
+        yield tuple(sorted(masks + (bit,))), count
+
+
 @lru_cache(maxsize=None)
 def _full_scan(
     n: int,
@@ -231,65 +249,37 @@ def _full_scan(
     cover to preimage count).  The fiber map keys are sorted tuples of
     block bit masks; treat the cached dict as read-only.
 
-    The scan is one depth-first walk over the restricted growth strings of
-    [2n] that keeps the folded bit mask of every open block up to date in
-    place.  Elements 1..n are placed first: each ORs its bit into an
-    existing block or opens a new one.  Then the twins n+1..2n are placed:
-    a twin in its partner's block leaves the mask unchanged and adds one to
-    the running merged-pair count; anywhere else it ORs in its partner's
-    bit.  Every change is undone on the way back up, so a leaf only has to
-    count its distinct masks and, when separated, sort them into the fiber
-    key.  ``enumerate_partitions`` with ``classify_partition`` is the
-    independent, set-based route that checks this walk.
+    The scan is a forward pass over the 2n placements, keeping one count
+    per multiset of folded block masks.  Element i carries bit i mod n and
+    ORs it into the block it joins, or opens a new block.  Before twin
+    j + n is placed only the block of element j has bit j, so what can
+    still happen to a partial partition depends on its mask multiset
+    alone: the twin is merged exactly when its block already has the bit,
+    and a finished partition has 2n minus its total popcount merged twins.
+    The last placement feeds the statistics directly, without a final
+    layer.  ``enumerate_partitions`` with ``classify_partition`` is the
+    independent, set-based route that checks this pass leaf by leaf.
     """
     twin_histogram = [0] * (n + 1)
     collision_histogram = [0] * (n + 1)
     fibers: dict[tuple[int, ...], int] = {}
     image_distinct = 0
-    masks: list[int] = []
-    owner = [0] * n
-
-    def place(j: int) -> None:
-        if j == n:
-            place_twin(0, 0)
-            return
-        bit = 1 << j
-        for b in range(len(masks)):
-            masks[b] |= bit
-            owner[j] = b
-            place(j + 1)
-            masks[b] ^= bit
-        owner[j] = len(masks)
-        masks.append(bit)
-        place(j + 1)
-        masks.pop()
-
-    def place_twin(j: int, merged: int) -> None:
-        nonlocal image_distinct
-        if j == n:
-            twin_histogram[merged] += 1
-            collisions = len(masks) - len(set(masks))
-            if collisions == 0:
-                image_distinct += 1
-            if merged == 0:
-                collision_histogram[collisions] += 1
-                key = tuple(sorted(masks))
-                fibers[key] = fibers.get(key, 0) + 1
-            return
-        bit = 1 << j
-        own = owner[j]
-        for b in range(len(masks)):
-            if b == own:
-                place_twin(j + 1, merged + 1)
-            else:
-                masks[b] |= bit
-                place_twin(j + 1, merged)
-                masks[b] ^= bit
-        masks.append(bit)
-        place_twin(j + 1, merged)
-        masks.pop()
-
-    place(0)
+    layer = {(): 1}
+    for i in range(2 * n - 1):
+        merged_layer: dict[tuple[int, ...], int] = {}
+        for masks, count in _placements(layer, 1 << (i % n)):
+            merged_layer[masks] = merged_layer.get(masks, 0) + count
+        layer = merged_layer
+    leaves = _placements(layer, 1 << (n - 1)) if n else layer.items()
+    for masks, count in leaves:
+        merged = 2 * n - sum(map(int.bit_count, masks))
+        twin_histogram[merged] += count
+        collisions = len(masks) - len(set(masks))
+        if collisions == 0:
+            image_distinct += count
+        if merged == 0:
+            collision_histogram[collisions] += count
+            fibers[masks] = fibers.get(masks, 0) + count
     return (
         tuple(twin_histogram),
         twin_histogram[0],
@@ -329,8 +319,9 @@ def _classify_fibers(n: int) -> tuple:
             continue
         u += 1
         v += duplicates == 0
-        blocks = [_mask_block(mask, n) for mask in key]
-        graphs.add(frozenset(e for block in blocks for e in combinations(block, 2)))
+        # The line graph as an edge bit set; a restricted cover repeats no edge.
+        edges = (e for mask in key for e in combinations(_mask_block(mask, n), 2))
+        graphs.add(sum(1 << (a * n + b) for a, b in edges))
         # Each element lies in exactly two blocks, so three two-element
         # blocks on three elements use every slot of those elements: a
         # triangle is always a whole component, and finding the triangles

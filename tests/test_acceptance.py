@@ -2,8 +2,8 @@
 
 Each test prints exactly one ``ACCEPTANCE <name>: PASS`` or ``FAIL`` line
 (visible under ``pytest -s`` or in the captured output of a failing run)
-and enforces the stated tolerances.  The n = 6 extensions run under
-``--runslow``.
+and enforces the stated tolerances.  The n = 6 extensions repeat the
+exhaustive checks at the next size.
 """
 
 import math
@@ -14,7 +14,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
 import scipy.stats
 
 from cover_census.asymptotics import (
@@ -44,7 +43,7 @@ from cover_census.series import PowerSeries
 SAMPLER_SEED = 20260823
 
 # Exhaustive-scan results at n = 6, frozen from recorded oracle runs; the
-# slow tests below recompute them from scratch.
+# n = 6 tests below recompute them from scratch.
 N6_SEPARATED = 1_515_903
 N6_IMAGE_DISTINCT = 3_461_983
 
@@ -79,7 +78,6 @@ def test_oracle_formula_agreement():
         assert time.monotonic() - start < 30.0
 
 
-@pytest.mark.slow
 def test_oracle_formula_agreement_n6():
     with criterion("oracle-formula-agreement[n=6]"):
         start = time.monotonic()
@@ -125,7 +123,6 @@ def test_moment_and_bonferroni_identities():
         assert separation_probability(6) * bell(12) == N6_SEPARATED
 
 
-@pytest.mark.slow
 def test_moment_and_bonferroni_identities_n6():
     with criterion("moment-bonferroni-identities[n=6]"):
         census = oracle_counts(6)

@@ -150,7 +150,7 @@ class TestFolding:
         with pytest.raises(ValueError):
             classify_partition(SetPartition(3, (0, 0, 1)), 2)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_classification_agrees_with_census(self, n):
         census = oracle_counts(n)
         separated = image_distinct = 0
@@ -176,7 +176,7 @@ class TestFolding:
         assert tuple(collision_hist) == census.collision_histogram
         assert collision_hist[0] == census.separated_image_distinct
         assert len(fibers) == census.s
-        # The walk's fiber map, leaf by leaf: every folded cover with its
+        # The scan's fiber map, leaf by leaf: every folded cover with its
         # preimage count, keys turned from bit masks back into blocks.
         scanned = {
             TwoCover.from_blocks(
@@ -239,6 +239,27 @@ class TestOracleCensus:
         assert oracle_counts(2).merged_twin_histogram == (7, 6, 2)
         assert sum(oracle_counts(4).merged_twin_histogram) == bell(8)
 
+    @pytest.mark.slow
+    def test_frozen_census_n7(self):
+        # Frozen from a depth-first walk over all Bell(14) partitions of
+        # [14], one at a time, which shares no merging with the scan.
+        census = oracle_counts(7, limit=7)
+        assert census.merged_twin_histogram == (
+            65766991, 73606029, 37565850, 11405415, 2242695, 288624, 22841, 877,
+        )
+        assert census.separated == 65766991
+        assert census.image_distinct == 159183825
+        assert census.collision_histogram == (
+            54323200, 10276736, 1074752, 84896, 6720, 644, 42, 1,
+        )
+        assert len(_full_scan(7)[4]) == 624889
+        row = full_table(7).row(7)
+        assert (census.s, census.t, census.u, census.v) == (row.s, row.t, row.u, row.v)
+        assert (row.s, row.t, row.u, row.v) == (624889, 424400, 233238, 163356)
+        assert fiber_check(7, limit=7).ok
+        assert oracle_line_class_count(7, limit=7) == 230858
+        assert oracle_line_count(7, limit=7) == 228443
+
 
 class TestFiberStructure:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -259,7 +280,6 @@ class TestLineGraphs:
         assert oracle_line_class_count(5) == LINE_CLASSES_KNOWN[5]
         assert oracle_line_count(5) == LINE_IMAGES_KNOWN[5]
 
-    @pytest.mark.slow
     def test_frozen_counts_n6(self):
         assert oracle_line_class_count(6, limit=7) == 11885
         assert oracle_line_count(6, limit=7) == 11600
