@@ -244,9 +244,23 @@ class AsymptoticReport:
 
 
 def report_grid(max_n: int) -> list[int]:
-    """Geometric grid 4, 8, ..., with max_n appended when missing."""
+    """Geometric grid 4, 8, ..., with max_n appended when missing.
+
+    Refuses a max_n whose estimated log B_{2n} is not a finite float
+    (from n of about 1.29e305 on), since no row there could be reported.
+    """
     if max_n < 2:
         raise ValueError(f"asymptotic reports need max_n >= 2, got {max_n}")
+    if 2 * max_n > DEFAULT_BELL_CAP:
+        try:
+            finite = math.isfinite(log_bell_asymptotic(2 * max_n))
+        except ArithmeticError:  # W(2n) fails to converge or 2n overflows
+            finite = False
+        if not finite:
+            raise ValueError(
+                "max_n is too large for asymptotic reports: the estimate of log B_2n"
+                " overflows a float"
+            )
     grid = []
     value = 4
     while value <= max_n:

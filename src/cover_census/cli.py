@@ -31,6 +31,7 @@ from .asymptotics import (
     merged_twin_moment,
     merged_twin_moment_variance,
     ratio_trends,
+    report_grid,
     separation_probability,
 )
 from .combinatorics import DEFAULT_BELL_CAP, bell
@@ -54,7 +55,8 @@ TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
 REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(ReportRow))
 
-# full_table(256) takes about half a minute and the cost grows faster than
+# full_table(256) takes 30-40 s on a 2-core host, nearly all of it in the
+# triple loop of restricted_proper_sequence, and the cost grows faster than
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
@@ -218,6 +220,10 @@ def _report_to_json(report: AsymptoticReport, params: dict) -> str:
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         return _usage_error(f"--max-n must be >= 2 for asymptotics, got {args.max_n}")
+    try:
+        report_grid(args.max_n)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     _announce_table(min(args.max_n, DEFAULT_BELL_CAP // 2))
     try:
         report = asymptotic_report(args.max_n)

@@ -109,6 +109,11 @@ def restricted_proper_sequence(max_n: int) -> list[int]:
     with K = 2 * max_n - 2b, and
 
         v_n = n! * sum_b (-1)^b * acc(b, n - b) / (2^b * b! * K!).
+
+    Since (2N)! / (2^b * b! * K!) = C(2N, 2b) * (2b - 1)!!, multiplying
+    through by (2N)! leaves an integer sum, and v_n is one exact division
+    of n! times that sum by (2N)!; a nonzero remainder raises
+    ConsistencyError.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -136,21 +141,22 @@ def restricted_proper_sequence(max_n: int) -> list[int]:
             for j in range(min(len(row) - 1, max_n) + 1):
                 totals[j] += weight * row[j]
         acc.append(totals)
+    weights = []
+    double_factorial = 1
+    for b in range(max_n + 1):
+        weights.append((-1) ** b * comb(big_m, 2 * b) * double_factorial)
+        double_factorial *= 2 * b + 1
+    big_m_factorial = factorial(big_m)
     values = []
     for n in range(max_n + 1):
-        total = Fraction(0)
-        for b in range(n + 1):
-            remaining = big_m - 2 * b
-            total += Fraction(
-                (-1) ** b * acc[b][n - b],
-                2**b * factorial(b) * factorial(remaining),
-            )
-        term = total * factorial(n)
-        if term.denominator != 1:
+        total = factorial(n) * sum(weights[b] * acc[b][n - b] for b in range(n + 1))
+        value, remainder = divmod(total, big_m_factorial)
+        if remainder:
             raise ConsistencyError(
-                f"restricted-proper count at n={n} is non-integer {term}"
+                f"restricted-proper count at n={n} is non-integer"
+                f" {total}/{big_m_factorial}"
             )
-        values.append(int(term))
+        values.append(value)
     return values
 
 
@@ -189,8 +195,9 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     are the classical pair of such graphs with equal line graphs.  The
     correction factor exp(-x^3/6) merges each triangle component with its
     star twin, giving two equivalent product forms, exp(x - x^3/6) * V(x)
-    and exp(-x^3/6) * V(x) e^x; both are computed and must agree
-    coefficientwise.
+    and exp(-x^3/6) * V(x) e^x; both are computed as integer binomial
+    convolutions of EGF terms, in which -x^3/6 is the sequence 0, 0, 0, -1,
+    and must agree termwise.
 
     The result counts covers modulo that triangle/star exchange.  For
     n <= 3 this equals the number of labelled line graphs, but from n = 4
@@ -200,17 +207,15 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     brute-force engine counts both quantities separately.
     """
     degree = v_series.degree
-    cubic = PowerSeries.from_coeffs([0, 0, 0, Fraction(-1, 6)], degree)
+    cubic = PowerSeries.from_sequence([0, 0, 0, -1], degree)
     direct = (PowerSeries.x(degree) + cubic).exp() * v_series
     via_u = cubic.exp() * (v_series * PowerSeries.x(degree).exp())
     values = []
-    for n in range(degree + 1):
-        if direct.coefficient(n) != via_u.coefficient(n):
+    for n, (term, other) in enumerate(zip(direct.terms, via_u.terms)):
+        if term != other:
             raise ConsistencyError(
-                f"line-graph series routes disagree at x^{n}: "
-                f"{direct.coefficient(n)} vs {via_u.coefficient(n)}"
+                f"line-graph series routes disagree at n={n}: {term} vs {other}"
             )
-        term = direct.sequence_term(n)
         if term.denominator != 1:
             raise ConsistencyError(
                 f"line-graph count at n={n} is non-integer {term}"

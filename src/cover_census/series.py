@@ -1,96 +1,61 @@
-"""Exact truncated power-series arithmetic over the rationals.
+"""Exact truncated exponential-generating-function arithmetic.
 
-A univariate series of degree N stores the coefficients of x^0 .. x^N and
-all arithmetic truncates at that degree.  Sequences are recovered through
-the exponential-generating-function convention: the n-th sequence value is
-n! times the coefficient of x^n.
+A series of degree N stores its terms t_0 .. t_N, where t_n is n! times
+the coefficient of x^n: the n-th value of the sequence the EGF counts.
+All arithmetic truncates at degree N.  In this form products, exponentials
+and compositions are binomial convolutions with no division (Flajolet and
+Sedgewick, Analytic Combinatorics, ch. II), so integer terms stay integers;
+rational terms work too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-from typing import Sequence, Union
-
-Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _poly_mul_trunc(
-    left: Sequence[Fraction], right: Sequence[Fraction], degree: int
-) -> list[Fraction]:
-    """Multiply two coefficient lists, truncating at ``degree``."""
-    out = [_ZERO] * (degree + 1)
-    for i, a in enumerate(left):
-        if i > degree or a == 0:
-            continue
-        for j, b in enumerate(right):
-            if i + j > degree:
-                break
-            if b:
-                out[i + j] += a * b
-    return out
+from math import comb
+from numbers import Rational
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated univariate power series with exact rational coefficients."""
+    """Truncated EGF holding the exact sequence terms n! [x^n]."""
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if len(self.coeffs) != self.degree + 1:
+        if len(self.terms) != self.degree + 1:
             raise ValueError(
-                f"expected {self.degree + 1} coefficients, got {len(self.coeffs)}"
+                f"expected {self.degree + 1} terms, got {len(self.terms)}"
             )
 
     @staticmethod
-    def from_coeffs(values: Sequence[Scalar], degree: int) -> "PowerSeries":
-        """Build a series from coefficients, padding with zeros or truncating."""
-        coeffs = [_as_fraction(v) for v in values[: degree + 1]]
-        coeffs.extend([_ZERO] * (degree + 1 - len(coeffs)))
-        return PowerSeries(degree, tuple(coeffs))
-
-    @staticmethod
-    def from_sequence(values: Sequence[Scalar], degree: int) -> "PowerSeries":
-        """Build the EGF of a sequence: coefficient of x^k is values[k] / k!."""
-        coeffs = [
-            _as_fraction(values[k]) / factorial(k) if k < len(values) else _ZERO
-            for k in range(degree + 1)
-        ]
-        return PowerSeries(degree, tuple(coeffs))
+    def from_sequence(values: Sequence[Rational], degree: int) -> "PowerSeries":
+        """Build the EGF of a sequence, padding with zeros or truncating."""
+        terms = list(values[: degree + 1])
+        terms.extend([0] * (degree + 1 - len(terms)))
+        return PowerSeries(degree, tuple(terms))
 
     @staticmethod
     def one(degree: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([1], degree)
+        return PowerSeries.from_sequence([1], degree)
 
     @staticmethod
     def x(degree: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([0, 1], degree)
+        return PowerSeries.from_sequence([0, 1], degree)
 
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.degree:
-            raise ValueError(f"coefficient index {k} outside 0..{self.degree}")
-        return self.coeffs[k]
-
-    def sequence_term(self, n: int) -> Fraction:
+    def sequence_term(self, n: int) -> Rational:
         """Return n! times the coefficient of x^n, the EGF sequence value."""
-        return self.coefficient(n) * factorial(n)
+        if not 0 <= n <= self.degree:
+            raise ValueError(f"term index {n} outside 0..{self.degree}")
+        return self.terms[n]
 
     def truncate(self, degree: int) -> "PowerSeries":
         if degree > self.degree:
             raise ValueError(f"cannot extend degree {self.degree} to {degree}")
-        return PowerSeries(degree, self.coeffs[: degree + 1])
+        return PowerSeries(degree, self.terms[: degree + 1])
 
     def _require_same_degree(self, other: "PowerSeries") -> None:
         if self.degree != other.degree:
@@ -103,7 +68,7 @@ class PowerSeries:
             return NotImplemented
         self._require_same_degree(other)
         return PowerSeries(
-            self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.degree, tuple(a + b for a, b in zip(self.terms, other.terms))
         )
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
@@ -111,45 +76,67 @@ class PowerSeries:
             return NotImplemented
         self._require_same_degree(other)
         return PowerSeries(
-            self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+            self.degree, tuple(a - b for a, b in zip(self.terms, other.terms))
         )
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """Binomial convolution c_n = sum_k C(n, k) a_k b_(n-k)."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._require_same_degree(other)
+        a, b = self.terms, other.terms
         return PowerSeries(
             self.degree,
-            tuple(_poly_mul_trunc(self.coeffs, other.coeffs, self.degree)),
+            tuple(
+                sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1) if a[k])
+                for n in range(self.degree + 1)
+            ),
         )
 
     def exp(self) -> "PowerSeries":
         """Exponential of a series with zero constant term.
 
-        Uses the derivative recurrence n e_n = sum_k k a_k e_{n-k}, which
-        keeps every intermediate value exact.
+        Uses e_n = sum_k C(n-1, k-1) a_k e_(n-k), the exponential formula:
+        the block holding element n has some size k and the other n - k
+        elements form the rest of the structure.
         """
-        if self.coeffs[0] != 0:
+        a = self.terms
+        if a[0] != 0:
             raise ValueError("exp() requires a zero constant term")
-        n = self.degree
-        out = [_ONE] + [_ZERO] * n
-        for m in range(1, n + 1):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                a = self.coeffs[k]
-                if a:
-                    acc += k * a * out[m - k]
-            out[m] = acc / m
-        return PowerSeries(n, tuple(out))
+        out = [1]
+        for n in range(1, self.degree + 1):
+            out.append(
+                sum(
+                    comb(n - 1, k - 1) * a[k] * out[n - k]
+                    for k in range(1, n + 1)
+                    if a[k]
+                )
+            )
+        return PowerSeries(self.degree, tuple(out))
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Substitute ``inner`` (zero constant term) into this series."""
+        """Substitute ``inner`` (zero constant term) into this series.
+
+        The result's terms are sum_k a_k P_k, where P_k = inner^k / k! has
+        the partial-Bell terms P_k[n] = sum_j C(n-1, j-1) b_j P_(k-1)[n-j].
+        """
         self._require_same_degree(inner)
-        if inner.coeffs[0] != 0:
+        b = inner.terms
+        if b[0] != 0:
             raise ValueError("compose() requires the inner constant term to be zero")
-        result = PowerSeries.from_coeffs([self.coeffs[self.degree]], self.degree)
-        for k in range(self.degree - 1, -1, -1):
-            result = result * inner + PowerSeries.from_coeffs(
-                [self.coeffs[k]], self.degree
-            )
-        return result
+        degree = self.degree
+        power = [1] + [0] * degree
+        out = [self.terms[0]] + [0] * degree
+        for k in range(1, degree + 1):
+            power = [0] * k + [
+                sum(
+                    comb(n - 1, j - 1) * b[j] * power[n - j]
+                    for j in range(1, n - k + 2)
+                    if b[j]
+                )
+                for n in range(k, degree + 1)
+            ]
+            a_k = self.terms[k]
+            if a_k:
+                out = [o + a_k * p for o, p in zip(out, power)]
+        return PowerSeries(degree, tuple(out))

@@ -147,9 +147,7 @@ def test_generating_function_identities():
         exp_x = PowerSeries.x(degree).exp()
         shifted = exp_x - PowerSeries.one(degree)
         bell_egf = shifted.exp()
-        cube = PowerSeries.from_coeffs(
-            [0, 0, 0, Fraction(-1, 6)], degree
-        )
+        cube = PowerSeries.from_sequence([0, 0, 0, -1], degree)
         assert series["u"] == series["v"] * exp_x
         assert series["s"] == series["t"] * bell_egf
         assert series["s"] == series["u"].compose(shifted)

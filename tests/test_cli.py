@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census import cli
+from cover_census import asymptotics, cli
 from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
 from cover_census.cli import main
 from cover_census.sequences import full_table
@@ -229,6 +229,33 @@ class TestAsymptoticsCommand:
                 " above n=256 this takes minutes"
             ]
         )
+
+    @pytest.mark.parametrize("max_n", [10**306, 10**400])
+    def test_float_overflow_is_refused_up_front(self, capsys, monkeypatch, max_n):
+        # From n of about 1.29e305 the estimate of log B_2n is inf, and above
+        # 2n of about 4.49e307 it raises; both are refused before any table
+        # work is done or announced.
+        monkeypatch.setattr(cli, "asymptotic_report", lambda n: pytest.fail("built"))
+        assert main(["asymptotics", "--max-n", str(max_n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("cover-census: error: ")
+
+    def test_largest_float_range_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 16)
+        monkeypatch.setattr(cli, "DEFAULT_BELL_CAP", 16)
+        max_n = 10**305
+        assert main(["asymptotics", "--max-n", str(max_n), "--format", "json"]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
+        assert rows[-1]["n"] == max_n
+        assert rows[-1]["bell_source"] == "asymptotic"
+        assert all(math.isfinite(row["log_bell_2n"]) for row in rows)
 
 
 class TestSampleCommand:

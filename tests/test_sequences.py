@@ -184,3 +184,35 @@ class TestSequenceConsistencyMachinery:
             ConsistencyError, match=f"separated-partition route.*at n={k}:"
         ):
             full_table(32)
+
+    @pytest.mark.parametrize("k", [0, 8])
+    @pytest.mark.parametrize(
+        "owner, name, call, match",
+        [
+            (sequences, "binomial_transform", 1, "restricted route"),
+            (sequences, "stirling_transform", 2, "plain-cover route"),  # u -> s
+            (PowerSeries, "compose", 1, "composition route"),
+        ],
+        ids=["binomial", "stirling-u-to-s", "compose"],
+    )
+    def test_series_checks_catch_perturbed_operand(
+        self, monkeypatch, owner, name, call, match, k
+    ):
+        # Each check compares a transform with a series product or a
+        # composition; adding 1 to one index of one side must trip it.
+        original = getattr(owner, name)
+        calls = []
+
+        def perturbed(*args):
+            out = original(*args)
+            calls.append(args)
+            if len(calls) != call:
+                return out
+            if isinstance(out, PowerSeries):
+                return out + PowerSeries.from_sequence([0] * k + [1], out.degree)
+            out[k] += 1
+            return out
+
+        monkeypatch.setattr(owner, name, perturbed)
+        with pytest.raises(ConsistencyError, match=match):
+            full_table(8)

@@ -10,30 +10,31 @@ from hypothesis import strategies as st
 from cover_census.combinatorics import bell
 from cover_census.series import PowerSeries
 
-# Small rational coefficients keep hypothesis cases fast while still
+# Small rational terms keep hypothesis cases fast while still
 # exercising non-integer arithmetic.
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 
 
-def series_of(coeffs, degree):
-    return PowerSeries.from_coeffs(list(coeffs), degree)
+def series_of(terms, degree):
+    return PowerSeries.from_sequence(list(terms), degree)
 
 
 class TestConstruction:
-    def test_from_coeffs_pads(self):
-        s = PowerSeries.from_coeffs([1, 2], 4)
-        assert s.coeffs == (1, 2, 0, 0, 0)
+    def test_from_sequence_pads(self):
+        s = PowerSeries.from_sequence([1, 2], 4)
+        assert s.terms == (1, 2, 0, 0, 0)
         assert s.degree == 4
 
-    def test_from_coeffs_truncates(self):
-        s = PowerSeries.from_coeffs([1, 2, 3, 4], 2)
-        assert s.coeffs == (1, 2, 3)
+    def test_from_sequence_truncates(self):
+        s = PowerSeries.from_sequence([1, 2, 3, 4], 2)
+        assert s.terms == (1, 2, 3)
 
-    def test_from_sequence_divides_by_factorials(self):
+    def test_from_sequence_keeps_integer_terms(self):
         s = PowerSeries.from_sequence([1, 2, 6], 4)
-        assert s.coeffs == (1, 2, 3, 0, 0)
+        assert s.terms == (1, 2, 6, 0, 0)
+        assert all(type(term) is int for term in s.terms)
 
     def test_sequence_term_round_trip(self):
         values = [3, 1, 4, 1, 5, 9]
@@ -41,58 +42,60 @@ class TestConstruction:
         assert [s.sequence_term(n) for n in range(6)] == values
 
     def test_constants(self):
-        assert PowerSeries.one(2).coeffs == (1, 0, 0)
-        assert PowerSeries.x(2).coeffs == (0, 1, 0)
+        assert PowerSeries.one(2).terms == (1, 0, 0)
+        assert PowerSeries.x(2).terms == (0, 1, 0)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PowerSeries(2, (Fraction(1),))
 
-    def test_coefficient_range_checked(self):
+    def test_sequence_term_range_checked(self):
         s = PowerSeries.one(3)
         with pytest.raises(ValueError):
-            s.coefficient(4)
+            s.sequence_term(4)
         with pytest.raises(ValueError):
-            s.coefficient(-1)
+            s.sequence_term(-1)
 
 
 class TestArithmetic:
     def test_add_sub_neg(self):
         a = series_of([1, 2, 3], 2)
         b = series_of([5, 7, 11], 2)
-        assert (a + b).coeffs == (6, 9, 14)
-        assert (b - a).coeffs == (4, 5, 8)
-        assert (series_of([0], 2) - a).coeffs == (-1, -2, -3)
+        assert (a + b).terms == (6, 9, 14)
+        assert (b - a).terms == (4, 5, 8)
+        assert (series_of([0], 2) - a).terms == (-1, -2, -3)
 
     def test_mul_matches_convolution(self):
-        a = series_of([1, 2, 3], 4)
+        # c_n = sum_k C(n, k) a_k b_(n-k), the EGF product.
+        a = series_of([1, 2, 6], 4)
         b = series_of([4, 5], 4)
-        assert (a * b).coeffs == (4, 13, 22, 15, 0)
+        assert (a * b).terms == (4, 13, 44, 90, 0)
 
     def test_mul_truncates(self):
         a = series_of([0, 1, 1], 2)
-        assert (a * a).coeffs == (0, 0, 1)
+        assert (a * a).terms == (0, 0, 2)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             series_of([1], 2) + series_of([1], 3)
 
     def test_geometric_series_inverse(self):
-        geometric = series_of([1] * 9, 8)
+        # 1 / (1 - x) has x^k coefficient 1, so its EGF terms are k!.
+        geometric = series_of([math.factorial(k) for k in range(9)], 8)
         one_minus_x = series_of([1, -1], 8)
         assert geometric * one_minus_x == PowerSeries.one(8)
 
     def test_truncate(self):
         a = series_of([1, 2, 3, 4], 3)
-        assert a.truncate(1).coeffs == (1, 2)
+        assert a.truncate(1).terms == (1, 2)
         with pytest.raises(ValueError):
             a.truncate(5)
 
     @given(st.lists(fractions, min_size=1, max_size=7))
-    def test_mul_commutes(self, coeffs):
-        degree = len(coeffs)
-        a = series_of(coeffs, degree)
-        b = series_of(list(reversed(coeffs)), degree)
+    def test_mul_commutes(self, terms):
+        degree = len(terms)
+        a = series_of(terms, degree)
+        b = series_of(list(reversed(terms)), degree)
         assert a * b == b * a
 
 
@@ -100,7 +103,7 @@ class TestExp:
     def test_exp_x(self):
         e = PowerSeries.x(8).exp()
         for k in range(9):
-            assert e.coefficient(k) == Fraction(1, math.factorial(k))
+            assert e.sequence_term(k) == 1
 
     def test_requires_zero_constant(self):
         with pytest.raises(ValueError):
@@ -162,3 +165,13 @@ class TestCompose:
         b = series_of([0] + mid_tail, degree)
         c = series_of([0] + inner_tail, degree)
         assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+def test_integer_terms_stay_integers():
+    # The binomial convolutions never divide, so integer inputs give int
+    # terms, never Fractions.
+    degree = 10
+    a = series_of([3, 1, 4, 1, 5, 9, 2, 6], degree)
+    b = series_of([0, 2, -7, 1, 8, 2, 8], degree)
+    for result in (a * b, b.exp(), a.compose(b)):
+        assert all(type(term) is int for term in result.terms)
