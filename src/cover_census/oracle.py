@@ -129,23 +129,6 @@ class TwoCover:
             )
         return TwoCover(n, canon)
 
-    @property
-    def duplicate_block_pairs(self) -> int:
-        """Number of repeated blocks; each repeat occurs exactly twice."""
-        return len(self.blocks) - len(set(self.blocks))
-
-    @property
-    def proper(self) -> bool:
-        return self.duplicate_block_pairs == 0
-
-    @property
-    def restricted(self) -> bool:
-        """True when any two blocks share at most one element."""
-        return all(
-            len(set(a) & set(b)) <= 1
-            for a, b in combinations(self.blocks, 2)
-        )
-
 
 def merged_twin_count(rgs: Sequence[int], n: int) -> int:
     """Count twin pairs {j, j + n} sharing a block, from a growth string."""

@@ -4,20 +4,20 @@ The sampler draws partitions of [2n] exactly uniformly and estimates the
 same probabilistic quantities the oracle counts exhaustively, bridging the
 exact small-n regime and the asymptotic formulas.
 
-Uniformity rests on exact integer weights: the block containing the
-smallest remaining element has size k with probability
-C(M-1, k-1) B_{M-k} / B_M among M remaining elements, and the size is
-selected by inverting a uniform big-integer draw in [0, B_M), so no
-floating-point rounding can bias the distribution.  The inversion bisects
-cached prefix sums of those exact weights; it returns the k a linear scan
-of the weights would, so the random stream and every draw are unchanged.
+Each draw takes one uniform integer rank in [0, B_size) and decodes it
+block by block, so uniformity is exact and integer-only, with no rejection
+step.  Among m remaining elements the block holding the smallest one has
+size k for C(m-1, k-1) B_{m-k} ranks; within that range the rank splits
+into the colex rank of the block's other k-1 members among the m-1 other
+elements and the rank of the partition of the m-k elements left over.  The
+decode is a bijection from [0, B_size) onto the partitions of [size].
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,22 +87,50 @@ def _block_size(m: int, draw: int) -> int:
     return bisect_right(cum, draw) + 1
 
 
+# Binomial rows for the subset decode: _binomials[j][c] = C(c, j).  Like
+# _cumulative they grow only as a draw needs them, up to the largest block
+# drawn and to length m - 1; a row is never shorter than the row above it.
+_binomials: list[list[int]] = [[]]
+
+
+def _binomial_rows(top: int, length: int) -> list[list[int]]:
+    """Return the rows, with rows 1..top holding at least ``length`` entries."""
+    if len(_binomials) <= top or len(_binomials[top]) < length:
+        while len(_binomials) <= top:
+            _binomials.append([])
+        for j in range(1, top + 1):
+            row = _binomials[j]
+            row.extend(math.comb(c, j) for c in range(len(row), length))
+    return _binomials
+
+
 def sample_partition(size: int, rng: random.Random) -> SetPartition:
-    """Draw one exactly-uniform set partition of [size]."""
+    """Draw one exactly-uniform set partition of [size].
+
+    A single ``rng.randrange(bell(size))`` picks the partition; the rank is
+    decoded block by block as the module docstring describes.
+    """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    bell(size)  # rejects a size above the Bell cap before any allocation
+    rank = rng.randrange(bell(size))  # bell rejects a size above its cap
     labels = [0] * size
-    remaining = list(range(1, size + 1))
+    remaining = list(range(size))
     next_label = 0
     while remaining:
         m = len(remaining)
-        k = _block_size(m, rng.randrange(bell(m)))
-        labels[remaining.pop(0) - 1] = next_label
+        k = _block_size(m, rank)
+        labels[remaining.pop(0)] = next_label
         if k > 1:
-            for element in rng.sample(remaining, k - 1):
-                labels[element - 1] = next_label
-                del remaining[bisect_left(remaining, element)]
+            rank -= _cumulative[m][k - 2]
+            subset, rank = divmod(rank, bell(m - k))
+            # Colex unranking: the members sit at positions c_{k-1} > ... > c_1
+            # of the m - 1 others, with subset = sum_j C(c_j, j).
+            rows = _binomial_rows(k - 1, m - 1)
+            for j in range(k - 1, 0, -1):
+                row = rows[j]
+                c = bisect_right(row, subset) - 1
+                subset -= row[c]
+                labels[remaining.pop(c)] = next_label
         next_label += 1
     return SetPartition(size, tuple(labels))
 

@@ -249,9 +249,6 @@ class SequenceTable:
             raise ValueError(f"row {n} outside 0..{self.max_n}")
         return self.rows[n]
 
-    def column(self, name: str) -> list[int]:
-        return [getattr(row, name) for row in self.rows]
-
 
 def _check_sequence_match(name: str, expected: Sequence[int], series: PowerSeries) -> None:
     for n, value in enumerate(expected):

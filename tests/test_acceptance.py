@@ -141,7 +141,9 @@ def test_generating_function_identities():
         degree = 16
         table = full_table(degree)
         series = {
-            name: PowerSeries.from_sequence(table.column(name), degree)
+            name: PowerSeries.from_sequence(
+                [getattr(row, name) for row in table.rows], degree
+            )
             for name in ("s", "t", "u", "v", "l")
         }
         exp_x = PowerSeries.x(degree).exp()

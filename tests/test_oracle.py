@@ -127,16 +127,30 @@ class TestTwoCover:
 
     def test_duplicate_pairs_and_flags(self):
         doubled = TwoCover.from_blocks(2, [[1, 2], [1, 2]])
-        assert doubled.duplicate_block_pairs == 1
-        assert not doubled.proper
-        assert not doubled.restricted
+        assert _duplicate_block_pairs(doubled) == 1
+        assert not _proper(doubled)
+        assert not _restricted(doubled)
 
         singles = TwoCover.from_blocks(2, [[1], [1], [2], [2]])
-        assert singles.duplicate_block_pairs == 2
-        assert singles.restricted
+        assert _duplicate_block_pairs(singles) == 2
+        assert _restricted(singles)
 
         mixed = TwoCover.from_blocks(2, [[1, 2], [1], [2]])
-        assert mixed.proper and mixed.restricted
+        assert _proper(mixed) and _restricted(mixed)
+
+
+def _duplicate_block_pairs(cover):
+    """Number of repeated blocks; each repeat occurs exactly twice."""
+    return len(cover.blocks) - len(set(cover.blocks))
+
+
+def _proper(cover):
+    return _duplicate_block_pairs(cover) == 0
+
+
+def _restricted(cover):
+    """True when any two blocks share at most one element."""
+    return all(len(set(a) & set(b)) <= 1 for a, b in combinations(cover.blocks, 2))
 
 
 class TestFolding:
