@@ -19,8 +19,9 @@ Sizes are capped by an explicit limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import bell
@@ -239,10 +240,14 @@ def _full_scan(
     still happen to a partial partition depends on its mask multiset
     alone: the twin is merged exactly when its block already has the bit,
     and a finished partition has 2n minus its total popcount merged twins.
-    The last placement feeds the statistics directly, without a final
-    layer.  ``enumerate_partitions`` with ``classify_partition`` is the
-    independent, set-based route that checks this pass leaf by leaf.
+    The last placement is counted once per state: joining the partner's
+    block merges the twin, any other block or a new one does not, and
+    sorted fiber keys are built only for separated outcomes.
+    ``enumerate_partitions`` with ``classify_partition`` is the independent,
+    set-based route that checks this pass leaf by leaf.
     """
+    if n == 0:  # the empty partition, separated, folds to the empty cover
+        return (1,), 1, 1, (1,), {(): 1}
     twin_histogram = [0] * (n + 1)
     collision_histogram = [0] * (n + 1)
     fibers: dict[tuple[int, ...], int] = {}
@@ -253,16 +258,28 @@ def _full_scan(
         for masks, count in _placements(layer, 1 << (i % n)):
             merged_layer[masks] = merged_layer.get(masks, 0) + count
         layer = merged_layer
-    leaves = _placements(layer, 1 << (n - 1)) if n else layer.items()
-    for masks, count in leaves:
+    bit = 1 << (n - 1)
+    for masks, count in layer.items():
         merged = 2 * n - sum(map(int.bit_count, masks))
         twin_histogram[merged] += count
-        collisions = len(masks) - len(set(masks))
-        if collisions == 0:
-            image_distinct += count
-        if merged == 0:
-            collision_histogram[collisions] += count
-            fibers[masks] = fibers.get(masks, 0) + count
+        twin_histogram[merged - 1] += count * len(masks)
+        # Only the partner's block has the top bit, so it is the largest mask.
+        # Joining block m (a new block is m = 0) repeats a mask when m | bit
+        # equals the partner's block, and frees a repeat when m is repeated.
+        partner = masks[-1]
+        rest = partner ^ bit
+        distinct = set(masks)
+        repeats = len(masks) - len(distinct)
+        if repeats == 0:
+            image_distinct += count * (len(masks) + 1 - (rest in distinct or rest == 0))
+        elif repeats == 1 and masks.count(rest) != 2:
+            image_distinct += 2 * count
+        if merged == 1:
+            for b, mask in enumerate(masks + (0,)):
+                if mask != partner:
+                    key = tuple(sorted(masks[:b] + (mask | bit,) + masks[b + 1 :]))
+                    collision_histogram[len(key) - len(set(key))] += count
+                    fibers[key] = fibers.get(key, 0) + count
     return (
         tuple(twin_histogram),
         twin_histogram[0],
@@ -286,6 +303,11 @@ def _classify_fibers(n: int) -> tuple:
     restricted covers.
     """
     fibers = _full_scan(n)[4]
+    # Each block's pairs as an edge bit set, one entry per possible mask.
+    edge_sets = [
+        sum(1 << (a * n + b) for a, b in combinations(_mask_block(mask, n), 2))
+        for mask in range(1 << n)
+    ]
     t = u = v = clean_total = 0
     mismatches = []
     graphs = set()
@@ -298,13 +320,15 @@ def _classify_fibers(n: int) -> tuple:
         if preimages != 1 << (n - duplicates):
             cover = TwoCover.from_blocks(n, [_mask_block(mask, n) for mask in key])
             mismatches.append((cover, 1 << (n - duplicates), preimages))
-        if any((a & b).bit_count() > 1 for a, b in combinations(key, 2)):
+        # Restricted covers are those whose blocks' edge sets are disjoint:
+        # their union, the line graph, then equals their sum.
+        block_edges = [edge_sets[mask] for mask in key]
+        line_graph = reduce(or_, block_edges, 0)
+        if line_graph != sum(block_edges):
             continue
         u += 1
         v += duplicates == 0
-        # The line graph as an edge bit set; a restricted cover repeats no edge.
-        edges = (e for mask in key for e in combinations(_mask_block(mask, n), 2))
-        graphs.add(sum(1 << (a * n + b) for a, b in edges))
+        graphs.add(line_graph)
         # Each element lies in exactly two blocks, so three two-element
         # blocks on three elements use every slot of those elements: a
         # triangle is always a whole component, and finding the triangles

@@ -16,7 +16,9 @@ from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
     SetPartition,
     TwoCover,
+    _classify_fibers,
     _full_scan,
+    _placements,
     classify_partition,
     enumerate_partitions,
     fiber_check,
@@ -200,6 +202,55 @@ class TestFolding:
             for key, count in _full_scan(n)[4].items()
         }
         assert fibers == scanned
+
+
+def _per_outcome_scan(n):
+    """Reference: place every element, the last too, through ``_placements``."""
+    layer = {(): 1}
+    for i in range(2 * n):
+        merged_layer = Counter()
+        for masks, count in _placements(layer, 1 << (i % n)):
+            merged_layer[masks] += count
+        layer = merged_layer
+    twin_hist = [0] * (n + 1)
+    collision_hist = [0] * (n + 1)
+    image_distinct = 0
+    fibers = Counter()
+    for masks, count in layer.items():
+        merged = 2 * n - sum(map(int.bit_count, masks))
+        collisions = len(masks) - len(set(masks))
+        twin_hist[merged] += count
+        image_distinct += count * (collisions == 0)
+        if merged == 0:
+            collision_hist[collisions] += count
+            fibers[masks] += count
+    return tuple(twin_hist), twin_hist[0], image_distinct, tuple(collision_hist), fibers
+
+
+class TestScanReferences:
+    @pytest.mark.parametrize("n", range(7))
+    def test_last_placement_matches_per_outcome_route(self, n):
+        twin_hist, separated, image_distinct, collision_hist, fibers = _full_scan(n)
+        expected = _per_outcome_scan(n)
+        assert (twin_hist, separated, image_distinct, collision_hist) == expected[:4]
+        assert sorted(fibers.items()) == sorted(expected[4].items())
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_edge_set_restrictedness_matches_pairwise_test(self, n):
+        u = v = 0
+        graphs = set()
+        for key in _full_scan(n)[4]:
+            if any((a & b).bit_count() > 1 for a, b in combinations(key, 2)):
+                continue
+            u += 1
+            v += len(set(key)) == len(key)
+            edges = set()
+            for mask in key:
+                members = [j for j in range(n) if (mask >> j) & 1]
+                edges.update(combinations(members, 2))
+            graphs.add(frozenset(edges))
+        result = _classify_fibers(n)
+        assert (result[2], result[3], result[6]) == (u, v, len(graphs))
 
 
 class TestOracleCensus:
