@@ -21,10 +21,9 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .asymptotics import (
-    AsymptoticReport,
     ReportRow,
     asymptotic_report,
     image_collision_bound,
@@ -44,12 +43,13 @@ from .oracle import (
     oracle_line_count,
 )
 from .sampler import (
+    Estimate,
     SamplerConfig,
     estimate_collision_probability,
     estimate_separation_probability,
     estimate_twin_moment,
 )
-from .sequences import SequenceTable, full_table
+from .sequences import full_table
 
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
@@ -131,29 +131,26 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _table_to_csv(table: SequenceTable) -> str:
+def _csv(header: Sequence[str], rows: Iterable, comment: str | None = None) -> str:
     buffer = io.StringIO()
+    if comment is not None:
+        buffer.write(f"# {comment}\n")
+    # csv writes None as an empty field.
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TABLE_FIELDS)
-    for row in table.rows:
-        writer.writerow([row.n, row.s, row.t, row.u, row.v, row.l, row.bell_2n])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _table_to_json(table: SequenceTable, params: dict) -> str:
-    rows = [
-        {
-            "n": row.n,
-            "s": str(row.s),
-            "t": str(row.t),
-            "u": str(row.u),
-            "v": str(row.v),
-            "l": str(row.l),
-            "bell2n": str(row.bell_2n),
-        }
-        for row in table.rows
-    ]
-    payload = {"command": "table", "params": params, "rows": rows}
+def _json(args: argparse.Namespace, rows: list[dict], **extra) -> str:
+    """The envelope every JSON output shares: the command, its options as
+    parsed (in declaration order, without --out), any extra fields, rows."""
+    params = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "handler", "out")
+    }
+    payload = {"command": args.command, "params": params, **extra, "rows": rows}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -173,10 +170,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         table = full_table(args.max_n)
     except ValueError as exc:
         return _usage_error(str(exc))
+    rows = list(map(dataclasses.astuple, table.rows))
     if args.format == "csv":
-        text = _table_to_csv(table)
+        text = _csv(TABLE_FIELDS, rows)
     else:
-        text = _table_to_json(table, {"max_n": args.max_n, "format": args.format})
+        # Counts go out as decimal strings; they soon outgrow a double.
+        text = _json(
+            args,
+            [dict(zip(TABLE_FIELDS, (n, *map(str, counts)))) for n, *counts in rows],
+        )
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -186,35 +188,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _usage_error(f"cannot write {args.out}: {exc.strerror or exc}")
     return 0
-
-
-def _report_to_csv(report: AsymptoticReport) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# {report.note}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                "" if (value := getattr(row, field)) is None else value
-                for field in REPORT_FIELDS
-            ]
-        )
-    return buffer.getvalue()
-
-
-def _report_to_json(report: AsymptoticReport, params: dict) -> str:
-    rows = [
-        {field: getattr(row, field) for field in REPORT_FIELDS}
-        for row in report.rows
-    ]
-    payload = {
-        "command": "asymptotics",
-        "params": params,
-        "note": report.note,
-        "rows": rows,
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
@@ -229,11 +202,10 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         report = asymptotic_report(args.max_n)
     except ValueError as exc:
         return _usage_error(str(exc))
-    params = {"max_n": args.max_n, "format": args.format}
     if args.format == "csv":
-        text = _report_to_csv(report)
+        text = _csv(REPORT_FIELDS, map(dataclasses.astuple, report.rows), report.note)
     else:
-        text = _report_to_json(report, params)
+        text = _json(args, list(map(dataclasses.asdict, report.rows)), note=report.note)
     sys.stdout.write(text)
     for check in ratio_trends(report):
         status = "PASS" if check.improved else "WARN"
@@ -321,21 +293,34 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _sample_exact(args: argparse.Namespace) -> Fraction | None:
-    if args.stat == "p-x0":
-        return separation_probability(args.n)
+def _statistic(
+    args: argparse.Namespace, config: SamplerConfig
+) -> tuple[Estimate, Fraction | None, float | None]:
+    """The sampled estimate, the exact value and the variance of one draw
+    under it; the last two are None where the exact value costs too much."""
+    n = args.n
     if args.stat == "moment":
-        return merged_twin_moment(args.n, args.r)
-    if args.n <= DEFAULT_ORACLE_LIMIT:
-        size = 2 * args.n
+        return (
+            estimate_twin_moment(n, args.r, config),
+            merged_twin_moment(n, args.r),
+            float(merged_twin_moment_variance(n, args.r)),
+        )
+    if args.stat == "p-x0":
+        result = estimate_separation_probability(n, config)
+        exact = separation_probability(n)
+    else:
+        result = estimate_collision_probability(n, config)
+        if n > DEFAULT_ORACLE_LIMIT:
+            return result, None, None
         print(
-            f"cover-census: exact p-collision scans all Bell({size}) ="
-            f" {bell(size)} partitions of [{size}]",
+            f"cover-census: exact p-collision scans all Bell({2 * n}) ="
+            f" {bell(2 * n)} partitions of [{2 * n}]",
             file=sys.stderr,
         )
-        census = oracle_counts(args.n)
-        return Fraction(census.bell_2n - census.image_distinct, census.bell_2n)
-    return None
+        census = oracle_counts(n)
+        exact = Fraction(census.bell_2n - census.image_distinct, census.bell_2n)
+    p0 = float(exact)
+    return result, exact, p0 * (1.0 - p0)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -344,6 +329,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             return _usage_error("--stat moment requires --r")
         if args.r > args.n:
             return _usage_error(f"--r must be <= --n, got r={args.r}, n={args.n}")
+    elif args.r is not None:
+        return _usage_error(f"--r applies only to --stat moment, not {args.stat}")
     if 2 * args.n > DEFAULT_BELL_CAP:
         return _usage_error(
             f"--n {args.n} needs partitions of [{2 * args.n}], "
@@ -351,16 +338,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
     try:
         config = SamplerConfig(trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
-        if args.stat == "p-x0":
-            result = estimate_separation_probability(args.n, config)
-        elif args.stat == "moment":
-            result = estimate_twin_moment(args.n, args.r, config)
-        else:
-            result = estimate_collision_probability(args.n, config)
-        exact = _sample_exact(args)
+        result, exact, variance = _statistic(args, config)
     except ValueError as exc:
         return _usage_error(str(exc))
     z_score: float | None = None
@@ -368,18 +346,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         # Score test: the denominator is the exact spread under the null,
         # p0 (1 - p0) for a probability p0 and Var[(X)_r] for a moment, so
         # a sample whose own spread is zero cannot make it vanish.
-        if args.stat == "moment":
-            variance = float(merged_twin_moment_variance(args.n, args.r))
-        else:
-            p0 = float(exact)
-            variance = p0 * (1.0 - p0)
         spread = math.sqrt(variance / result.trials)
         # The variance is zero only for r = 0, where every draw is exactly 1.
         z_score = (result.estimate - float(exact)) / spread if spread else 0.0
     record = {
         "n": result.n,
         "stat": result.statistic,
-        "r": args.r if args.stat == "moment" else None,
+        "r": args.r,
         "trials": result.trials,
         "seed": result.seed,
         "estimate": result.estimate,
@@ -388,15 +361,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "exact_fraction": None if exact is None else str(exact),
         "z_score": z_score,
     }
-    params = {
-        "n": args.n,
-        "stat": args.stat,
-        "r": args.r,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    payload = {"command": "sample", "params": params, "rows": [record]}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json(args, [record]))
     if z_score is not None and abs(z_score) > 4:
         return 1
     return 0

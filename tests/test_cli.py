@@ -39,6 +39,67 @@ GOLDEN_TABLE_3 = (
     "3,16,8,9,5,8,203\n"
 )
 
+GOLDEN_TABLE_8 = GOLDEN_TABLE_3 + (
+    "4,139,80,70,43,66,4140\n"
+    "5,1750,1088,794,518,774,115975\n"
+    "6,29388,19232,12055,8186,11885,4213597\n"
+    "7,624889,424400,233238,163356,230858,190899322\n"
+    "8,16255738,11361786,5556725,3988342,5512821,10480142147\n"
+)
+
+REPORT_NOTE = (
+    "# estimator ratios converge like log log n / log n: judge them by their"
+    " trend toward 1, never by tight agreement; trend regressions are"
+    " warnings, exact-identity violations are failures"
+)
+
+# The sample envelope at --n 3 --trials 200 --seed 11. Every float in it
+# comes from correctly rounded IEEE operations (quotients, products, square
+# roots; no libm call), so the bytes hold on any platform.
+SAMPLE_JSON = """{
+  "command": "sample",
+  "params": {
+    "n": 3,
+    "stat": "%(stat)s",
+    "r": %(r)s,
+    "trials": 200,
+    "seed": 11
+  },
+  "rows": [
+    {
+      "n": 3,
+      "stat": "%(stat)s",
+      "r": %(r)s,
+      "trials": 200,
+      "seed": 11,
+      "estimate": %(estimate)s,
+      "std_error": %(std_error)s,
+      "exact": %(exact)s,
+      "exact_fraction": "%(fraction)s",
+      "z_score": %(z)s
+    }
+  ]
+}
+"""
+
+
+def table_json(csv_text, max_n):
+    """The table command's JSON bytes, laid out by hand from its CSV."""
+    header, *lines = csv_text.splitlines()
+    fields = header.split(",")
+    rows = []
+    for line in lines:
+        n, *counts = line.split(",")
+        items = [f'      "n": {n}']
+        items += [f'      "{f}": "{c}"' for f, c in zip(fields[1:], counts)]
+        rows.append("    {\n" + ",\n".join(items) + "\n    }")
+    return (
+        '{\n  "command": "table",\n  "params": {\n'
+        f'    "max_n": {max_n},\n    "format": "json"\n  }},\n  "rows": [\n'
+        + ",\n".join(rows)
+        + "\n  ]\n}\n"
+    )
+
 
 def console_script_from_pyproject(tmp_path):
     """Write the wrapper pip generates for the declared cover-census entry.
@@ -102,6 +163,10 @@ class TestTableCommand:
         }
         # Big integers must arrive as decimal strings, never numbers.
         assert all(isinstance(r["bell2n"], str) for r in payload["rows"])
+
+    def test_json_bytes(self, capsys):
+        assert main(["table", "--max-n", "8", "--format", "json"]) == 0
+        assert capsys.readouterr().out == table_json(GOLDEN_TABLE_8, 8)
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
@@ -189,7 +254,7 @@ class TestAsymptoticsCommand:
         assert main(["asymptotics", "--max-n", "8"]) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
-        assert lines[0].startswith("# ")
+        assert lines[0] == REPORT_NOTE
         assert lines[1] == REPORT_HEADER
         assert len(lines) == 4
         assert lines[2].startswith("4,exact,")
@@ -203,12 +268,13 @@ class TestAsymptoticsCommand:
     def test_json_structure(self, capsys):
         assert main(["asymptotics", "--max-n", "8", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["command", "params", "note", "rows"]
         assert payload["command"] == "asymptotics"
-        assert payload["params"] == {"max_n": 8, "format": "json"}
-        assert payload["note"]
+        assert list(payload["params"].items()) == [("max_n", 8), ("format", "json")]
+        assert payload["note"] == REPORT_NOTE[2:]
         assert [row["n"] for row in payload["rows"]] == [4, 8]
+        assert all(list(row) == REPORT_HEADER.split(",") for row in payload["rows"])
         row = payload["rows"][0]
-        assert list(row) == REPORT_HEADER.split(",")
         assert isinstance(row["ratio_v"], float)
         assert row["bell_source"] == "exact"
 
@@ -273,12 +339,48 @@ class TestSampleCommand:
         assert abs(record["z_score"]) <= 4
         assert 0 <= record["estimate"] <= 1
 
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (
+                ["--stat", "p-x0"],
+                ("p-x0", "null", "0.385", "0.034407484650872115",
+                 "0.42857142857142855", "3/7", "-1.2451572859147813"),
+            ),
+            (
+                ["--stat", "moment", "--r", "2"],
+                ("moment", "2", "0.57", "0.0975864518152466",
+                 "0.4433497536945813", "90/203", "1.5823411165393215"),
+            ),
+            (
+                ["--stat", "p-collision"],
+                ("p-collision", "null", "0.245", "0.030411757594719844",
+                 "0.24630541871921183", "50/203", "-0.042847960423085786"),
+            ),
+        ],
+    )
+    def test_json_bytes(self, capsys, argv, fields):
+        keys = ("stat", "r", "estimate", "std_error", "exact", "fraction", "z")
+        argv = ["sample", "--n", "3", *argv, "--trials", "200", "--seed", "11"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == SAMPLE_JSON % dict(zip(keys, fields))
+
     def test_moment_requires_r(self, capsys):
         code = main(
             ["sample", "--n", "2", "--stat", "moment", "--trials", "10", "--seed", "1"]
         )
         assert code == 2
         assert "--r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stat", ["p-x0", "p-collision"])
+    def test_r_only_with_moment(self, capsys, stat):
+        argv = ["sample", "--n", "2", "--stat", stat, "--r", "9"]
+        assert main(argv + ["--trials", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cover-census: error: --r applies only to --stat moment, not {stat}\n"
+        )
 
     def test_moment_r_bounded_by_n(self, capsys):
         code = main(

@@ -1,10 +1,16 @@
-"""Tests for the package's export list and the README example that uses it."""
+"""Tests for the package's export list, the README example that uses it,
+and the absence of unused imports."""
 
+import ast
 from pathlib import Path
+
+import pytest
 
 import cover_census
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted(ROOT.glob("src/cover_census/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def test_all_names_resolve_once():
@@ -28,3 +34,35 @@ def test_readme_library_section_matches_exports():
         assert f"`{name}`" in section, name
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(code, {"__name__": "readme_library"})
+
+
+def unused_imports(source):
+    """Names bound by an import and never read; ``__all__`` entries count as read."""
+    tree = ast.parse(source)
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_unused_import_check_sees_one():
+    source = "import io\nfrom json import dumps as d, loads\n__all__ = ['loads']\n"
+    assert unused_imports(source) == ["d", "io"]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda path: str(path.relative_to(ROOT))
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -152,6 +152,12 @@ class TestFullTable:
         assert _column(table6, "t") == stirling_transform(v)
         assert _column(table6, "s") == stirling_transform(_column(table6, "u"))
 
+    def test_rows_do_not_depend_on_max_n(self):
+        # restricted_proper_sequence and block_count_series truncate their
+        # series in y at degree 2N, so a row must not change with N.
+        small, large = full_table(12), full_table(40)
+        assert [small.row(n) for n in range(13)] == [large.row(n) for n in range(13)]
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             full_table(-1)
