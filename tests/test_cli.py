@@ -47,6 +47,22 @@ GOLDEN_TABLE_8 = GOLDEN_TABLE_3 + (
     "8,16255738,11361786,5556725,3988342,5512821,10480142147\n"
 )
 
+GOLDEN_ORACLE_4 = """\
+oracle census at n=4 (limit 6)
+counts: s=139 t=80 u=70 v=43 l=66 (distinct line graphs: 60)
+events: separated=1657 image-distinct=3255 both=1280
+collision histogram (separated partitions by duplicate images): 1280 312 52 12 1
+bell(2n)=4140
+check preimage decomposition (s * 2^n over duplicates): PASS
+check clean preimage count (t * 2^n): PASS
+check fiber sizes 2^(n - duplicates): PASS
+check merged-twin factorial moments: PASS
+check alternating-series separation count: PASS
+check collision probability within bound: PASS
+check sequence table agreement: PASS
+result: PASS
+"""
+
 REPORT_NOTE = (
     "# estimator ratios converge like log log n / log n: judge them by their"
     " trend toward 1, never by tight agreement; trend regressions are"
@@ -224,6 +240,12 @@ class TestOracleCommand:
         assert out.count(": PASS") == 8
         assert "FAIL" not in out
         assert out.rstrip().endswith("result: PASS")
+
+    def test_bytes_at_n4(self, capsys):
+        assert main(["oracle", "--n", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN_ORACLE_4
+        assert captured.err == ""
 
     def test_limit_enforced(self, capsys):
         assert main(["oracle", "--n", "7"]) == 2
