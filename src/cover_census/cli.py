@@ -35,13 +35,7 @@ from .asymptotics import (
 )
 from .combinatorics import DEFAULT_BELL_CAP, bell
 from .errors import ConsistencyError
-from .oracle import (
-    DEFAULT_ORACLE_LIMIT,
-    fiber_check,
-    oracle_counts,
-    oracle_line_class_count,
-    oracle_line_count,
-)
+from .oracle import DEFAULT_ORACLE_LIMIT, oracle_counts
 from .sampler import (
     Estimate,
     SamplerConfig,
@@ -59,6 +53,10 @@ REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(ReportRow))
 # triple loop of restricted_proper_sequence, and the cost grows faster than
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
+
+# A draw costs 0.5-0.75 us per element of [2n] on the same host, so a
+# sample run drawing more elements than this takes a minute or more.
+_ANNOUNCE_ABOVE_ELEMENTS = 10**8
 
 
 def _nonnegative(text: str) -> int:
@@ -232,16 +230,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
     n = args.n
     census = oracle_counts(n, limit=allowed)
-    fibers = fiber_check(n, limit=allowed)
-    line_classes = oracle_line_class_count(n, limit=allowed)
-    line_images = oracle_line_count(n, limit=allowed)
-    table = full_table(n)
-    row = table.row(n)
+    row = full_table(n).row(n)
 
     lines = [
         f"oracle census at n={n} (limit {allowed})",
         f"counts: s={census.s} t={census.t} u={census.u} v={census.v}"
-        f" l={line_classes} (distinct line graphs: {line_images})",
+        f" l={census.line_classes} (distinct line graphs: {census.line_graphs})",
         f"events: separated={census.separated}"
         f" image-distinct={census.image_distinct}"
         f" both={census.separated_image_distinct}",
@@ -258,7 +252,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         census.separated_image_distinct == census.t << n,
         lines,
     )
-    ok &= _check_line("fiber sizes 2^(n - duplicates)", fibers.ok, lines)
+    ok &= _check_line(
+        "fiber sizes 2^(n - duplicates)", not census.fiber_mismatches, lines
+    )
     moments_ok = all(
         sum(
             count * math.perm(x, r)
@@ -284,7 +280,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     )
     ok &= _check_line(
         "sequence table agreement",
-        (census.s, census.t, census.u, census.v, line_classes)
+        (census.s, census.t, census.u, census.v, census.line_classes)
         == (row.s, row.t, row.u, row.v, row.l),
         lines,
     )
@@ -338,6 +334,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         )
     try:
         config = SamplerConfig(trials=args.trials, seed=args.seed)
+        elements = args.trials * 2 * args.n
+        if elements > _ANNOUNCE_ABOVE_ELEMENTS:
+            print(
+                f"cover-census: drawing {args.trials} partitions of [{2 * args.n}]"
+                f" ({elements} elements); above {_ANNOUNCE_ABOVE_ELEMENTS}"
+                " elements this takes minutes",
+                file=sys.stderr,
+            )
         result, exact, variance = _statistic(args, config)
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -222,16 +222,13 @@ def _placements(
         yield tuple(sorted(masks + (bit,))), count
 
 
-@lru_cache(maxsize=None)
-def _full_scan(
-    n: int,
-) -> tuple[tuple[int, ...], int, int, tuple[int, ...], dict[tuple[int, ...], int]]:
-    """Scan all partitions of [2n] once, collecting every census statistic.
+def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]:
+    """Scan all partitions of [2n] once.
 
-    Returns (merged-twin histogram, separated count, image-distinct count,
-    collision histogram over separated partitions, fiber map from folded
-    cover to preimage count).  The fiber map keys are sorted tuples of
-    block bit masks; treat the cached dict as read-only.
+    Returns (merged-twin histogram, image-distinct count, fiber map from
+    folded cover to preimage count).  The fiber map keys are sorted tuples
+    of block bit masks; it holds every separated partition, so its counts
+    sum to the histogram's first entry.
 
     The scan is a forward pass over the 2n placements, keeping one count
     per multiset of folded block masks.  Element i carries bit i mod n and
@@ -247,9 +244,8 @@ def _full_scan(
     set-based route that checks this pass leaf by leaf.
     """
     if n == 0:  # the empty partition, separated, folds to the empty cover
-        return (1,), 1, 1, (1,), {(): 1}
+        return (1,), 1, {(): 1}
     twin_histogram = [0] * (n + 1)
-    collision_histogram = [0] * (n + 1)
     fibers: dict[tuple[int, ...], int] = {}
     image_distinct = 0
     layer = {(): 1}
@@ -278,45 +274,68 @@ def _full_scan(
             for b, mask in enumerate(masks + (0,)):
                 if mask != partner:
                     key = tuple(sorted(masks[:b] + (mask | bit,) + masks[b + 1 :]))
-                    collision_histogram[len(key) - len(set(key))] += count
                     fibers[key] = fibers.get(key, 0) + count
-    return (
-        tuple(twin_histogram),
-        twin_histogram[0],
-        image_distinct,
-        tuple(collision_histogram),
-        fibers,
-    )
+    return tuple(twin_histogram), image_distinct, fibers
 
 
 def _mask_block(mask: int, n: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in range(n) if (mask >> j) & 1)
 
 
-@lru_cache(maxsize=None)
-def _classify_fibers(n: int) -> tuple:
-    """Classify every cover in the scan's fiber map, once.
+@dataclass(frozen=True)
+class OracleCensus:
+    """Exhaustive counts at one ground-set size.
 
-    Returns s, t, u, v, the preimage total of the proper covers, the fiber
-    mismatches as (cover, expected 2^(n - repeated blocks), actual), and the
-    numbers of distinct line graphs and of line classes among the
-    restricted covers.
+    ``s``, ``t``, ``u``, ``v`` are the cover counts (all, proper,
+    restricted, restricted proper).  The event counts refer to partitions
+    of [2n]: ``separated`` have all twin pairs split, ``image_distinct``
+    have pairwise distinct folded blocks, and ``collision_histogram`` bins
+    the separated partitions by their folded-image collision count.
+    ``fiber_mismatches`` lists each cover whose preimage count is not
+    2^(n - repeated blocks) as (cover, expected, actual); ``line_graphs``
+    and ``line_classes`` count the restricted covers' distinct line graphs
+    and their triangle/star exchange classes.
     """
-    fibers = _full_scan(n)[4]
+
+    n: int
+    s: int
+    t: int
+    u: int
+    v: int
+    separated: int
+    image_distinct: int
+    separated_image_distinct: int
+    merged_twin_histogram: tuple[int, ...]
+    collision_histogram: tuple[int, ...]
+    bell_2n: int
+    fiber_mismatches: tuple[tuple[TwoCover, int, int], ...]
+    line_graphs: int
+    line_classes: int
+
+
+@lru_cache(maxsize=None)
+def _census(n: int) -> OracleCensus:
+    """Scan [2n] once and classify each distinct cover once."""
+    twin_histogram, image_distinct, fibers = _full_scan(n)
+    total = bell(2 * n)
+    if sum(twin_histogram) != total:
+        raise ConsistencyError(
+            f"twin histogram sums to {sum(twin_histogram)}, expected Bell({2 * n}) = {total}"
+        )
     # Each block's pairs as an edge bit set, one entry per possible mask.
     edge_sets = [
         sum(1 << (a * n + b) for a, b in combinations(_mask_block(mask, n), 2))
         for mask in range(1 << n)
     ]
-    t = u = v = clean_total = 0
+    collision_histogram = [0] * (n + 1)
+    t = u = v = 0
     mismatches = []
     graphs = set()
     classes = set()
     for key, preimages in fibers.items():
         duplicates = len(key) - len(set(key))
-        if duplicates == 0:
-            t += 1
-            clean_total += preimages
+        collision_histogram[duplicates] += preimages
+        t += duplicates == 0
         if preimages != 1 << (n - duplicates):
             cover = TwoCover.from_blocks(n, [_mask_block(mask, n) for mask in key])
             mismatches.append((cover, 1 << (n - duplicates), preimages))
@@ -343,52 +362,8 @@ def _classify_fibers(n: int) -> tuple:
         in_triangles = {mask for triangle in triangles for mask in triangle}
         stars = [m for a, b, c in triangles for m in (a | b, a & b, a & c, b & c)]
         classes.add(tuple(sorted([m for m in key if m not in in_triangles] + stars)))
-    mismatches = tuple(mismatches)
-    return len(fibers), t, u, v, clean_total, mismatches, len(graphs), len(classes)
-
-
-@dataclass(frozen=True)
-class OracleCensus:
-    """Exhaustive counts at one ground-set size.
-
-    ``s``, ``t``, ``u``, ``v`` are the cover counts (all, proper,
-    restricted, restricted proper).  The event counts refer to partitions
-    of [2n]: ``separated`` have all twin pairs split, ``image_distinct``
-    have pairwise distinct folded blocks, and ``collision_histogram`` bins
-    the separated partitions by their folded-image collision count.
-    """
-
-    n: int
-    s: int
-    t: int
-    u: int
-    v: int
-    separated: int
-    image_distinct: int
-    separated_image_distinct: int
-    merged_twin_histogram: tuple[int, ...]
-    collision_histogram: tuple[int, ...]
-    bell_2n: int
-
-
-def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
-    """Count 2-covers of [n] by exhausting partitions of [2n].
-
-    Verifies the multiplicity structure on the way: separated partitions
-    with d collisions overcount covers with d duplicate pairs by 2^(n - d),
-    giving two exact identities that must hold before returning.
-    """
-    _check_oracle_size(n, limit)
-    twin_histogram, separated, image_distinct, collision_histogram, _ = _full_scan(n)
-    total = bell(2 * n)
-    if sum(twin_histogram) != total:
-        raise ConsistencyError(
-            f"twin histogram sums to {sum(twin_histogram)}, expected Bell({2 * n}) = {total}"
-        )
-    s, t, u, v = _classify_fibers(n)[:4]
-    weighted = sum(
-        count * (1 << d) for d, count in enumerate(collision_histogram)
-    )
+    s = len(fibers)
+    weighted = sum(count << d for d, count in enumerate(collision_histogram))
     if s << n != weighted:
         raise ConsistencyError(
             f"block-image decomposition failed at n={n}: "
@@ -406,13 +381,29 @@ def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
         t=t,
         u=u,
         v=v,
-        separated=separated,
+        separated=twin_histogram[0],
         image_distinct=image_distinct,
         separated_image_distinct=collision_histogram[0],
         merged_twin_histogram=twin_histogram,
-        collision_histogram=collision_histogram,
+        collision_histogram=tuple(collision_histogram),
         bell_2n=total,
+        fiber_mismatches=tuple(mismatches),
+        line_graphs=len(graphs),
+        line_classes=len(classes),
     )
+
+
+def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
+    """Count 2-covers of [n] by exhausting partitions of [2n].
+
+    Verifies the multiplicity structure on the way: the twin histogram
+    must sum to Bell(2n), and separated partitions with d collisions
+    overcount covers with d duplicate pairs by 2^(n - d), giving two exact
+    identities that must hold before returning.  The record is computed
+    once per n and shared by every later call.
+    """
+    _check_oracle_size(n, limit)
+    return _census(n)
 
 
 @dataclass(frozen=True)
@@ -420,23 +411,17 @@ class FiberCheck:
     """Result of verifying preimage counts of the folding map."""
 
     covers: int
-    clean_preimage_total_ok: bool
     mismatches: tuple[tuple[TwoCover, int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches and self.clean_preimage_total_ok
+        return not self.mismatches
 
 
 def fiber_check(n: int, *, limit: int | None = None) -> FiberCheck:
     """Check every cover's preimage count against 2^(n - duplicate pairs)."""
-    _check_oracle_size(n, limit)
-    covers, _, _, _, clean_total, mismatches, _, _ = _classify_fibers(n)
-    return FiberCheck(
-        covers=covers,
-        clean_preimage_total_ok=clean_total == _full_scan(n)[3][0],
-        mismatches=mismatches,
-    )
+    census = oracle_counts(n, limit=limit)
+    return FiberCheck(covers=census.s, mismatches=census.fiber_mismatches)
 
 
 def oracle_line_count(n: int, *, limit: int | None = None) -> int:
@@ -452,8 +437,7 @@ def oracle_line_count(n: int, *, limit: int | None = None) -> int:
     the same diamond graph two ways, so the triangle/star exchange is not
     the only way two covers can share a line graph.
     """
-    _check_oracle_size(n, limit)
-    return _classify_fibers(n)[6]
+    return oracle_counts(n, limit=limit).line_graphs
 
 
 def oracle_line_class_count(n: int, *, limit: int | None = None) -> int:
@@ -467,5 +451,4 @@ def oracle_line_class_count(n: int, *, limit: int | None = None) -> int:
     factor exp(-x^3/6) extracts from the restricted-cover series, so it
     matches the table's line column exactly.
     """
-    _check_oracle_size(n, limit)
-    return _classify_fibers(n)[7]
+    return oracle_counts(n, limit=limit).line_classes

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .combinatorics import bell
-from .oracle import SetPartition, image_collision_count, merged_twin_count
+from .oracle import image_collision_count, merged_twin_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,11 +104,13 @@ def _binomial_rows(top: int, length: int) -> list[list[int]]:
     return _binomials
 
 
-def sample_partition(size: int, rng: random.Random) -> SetPartition:
-    """Draw one exactly-uniform set partition of [size].
+def sample_partition(size: int, rng: random.Random) -> tuple[int, ...]:
+    """Draw one exactly-uniform set partition of [size] as its growth string.
 
     A single ``rng.randrange(bell(size))`` picks the partition; the rank is
-    decoded block by block as the module docstring describes.
+    decoded block by block as the module docstring describes.  Entry i is
+    the block label of element i + 1, labels in order of first use, as in
+    ``SetPartition.rgs``.
     """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
@@ -132,7 +134,7 @@ def sample_partition(size: int, rng: random.Random) -> SetPartition:
                 subset -= row[c]
                 labels[remaining.pop(c)] = next_label
         next_label += 1
-    return SetPartition(size, tuple(labels))
+    return tuple(labels)
 
 
 def _run_trials(
@@ -144,7 +146,7 @@ def _run_trials(
     total = 0
     total_squares = 0
     for _ in range(config.trials):
-        x = value(sample_partition(size, rng).rgs)
+        x = value(sample_partition(size, rng))
         total += x
         total_squares += x * x
     return total, total_squares

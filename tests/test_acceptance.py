@@ -211,7 +211,7 @@ def test_sampler_consistency():
         trials = 150_000
         counts = {}
         for _ in range(trials):
-            rgs = sample_partition(4, rng).rgs
+            rgs = sample_partition(4, rng)
             counts[rgs] = counts.get(rgs, 0) + 1
         assert len(counts) == bell(4) == 15
         expected = trials / 15

@@ -7,6 +7,7 @@ the wrapper an installer would generate from the cover-census entry in
 [project.scripts] of pyproject.toml.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -21,6 +22,8 @@ import cover_census
 from cover_census import asymptotics, cli
 from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
 from cover_census.cli import main
+from cover_census.oracle import TwoCover
+from cover_census.sampler import Estimate
 from cover_census.sequences import full_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -246,6 +249,21 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == GOLDEN_ORACLE_4
         assert captured.err == ""
+
+    def test_fiber_mismatch_fails(self, capsys, monkeypatch):
+        census = cli.oracle_counts(3)
+        cover = TwoCover.from_blocks(3, [(1, 2, 3), (1, 2, 3)])
+        broken = dataclasses.replace(
+            census, fiber_mismatches=census.fiber_mismatches + ((cover, 4, 3),)
+        )
+        monkeypatch.setattr(cli, "oracle_counts", lambda n, limit: broken)
+        assert main(["oracle", "--n", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.endswith("FAIL")] == [
+            "check fiber sizes 2^(n - duplicates): FAIL",
+            "result: FAIL",
+        ]
+        assert lines[-1] == "result: FAIL"
 
     def test_limit_enforced(self, capsys):
         assert main(["oracle", "--n", "7"]) == 2
@@ -508,6 +526,24 @@ class TestSampleCommand:
         assert captured.err == (
             "cover-census: exact p-collision scans all Bell(6) = 203"
             " partitions of [6]\n"
+        )
+
+    @pytest.mark.parametrize("trials", [97656, 97657])
+    def test_long_run_is_announced(self, capsys, monkeypatch, trials):
+        # 97656 draws from [1024] are 99999744 elements, one more is above 10^8.
+        # The zeroth moment is exactly 1, so a stub estimate of 1 passes.
+        def estimate(n, r, config):
+            return Estimate(n, "moment", config.trials, config.seed, 1.0, 0.0)
+
+        monkeypatch.setattr(cli, "estimate_twin_moment", estimate)
+        argv = ["sample", "--n", "512", "--stat", "moment", "--r", "0"]
+        assert main(argv + ["--trials", str(trials), "--seed", "1"]) == 0
+        elements = trials * 1024
+        assert capsys.readouterr().err == (
+            ""
+            if elements <= 10**8
+            else f"cover-census: drawing {trials} partitions of [1024]"
+            f" ({elements} elements); above 100000000 elements this takes minutes\n"
         )
 
     def test_ground_set_beyond_bell_cap(self, capsys):

@@ -16,7 +16,6 @@ from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
     SetPartition,
     TwoCover,
-    _classify_fibers,
     _full_scan,
     _placements,
     classify_partition,
@@ -199,7 +198,7 @@ class TestFolding:
                 n,
                 [[j + 1 for j in range(n) if (mask >> j) & 1] for mask in key],
             ): count
-            for key, count in _full_scan(n)[4].items()
+            for key, count in _full_scan(n)[2].items()
         }
         assert fibers == scanned
 
@@ -230,7 +229,9 @@ def _per_outcome_scan(n):
 class TestScanReferences:
     @pytest.mark.parametrize("n", range(7))
     def test_last_placement_matches_per_outcome_route(self, n):
-        twin_hist, separated, image_distinct, collision_hist, fibers = _full_scan(n)
+        twin_hist, image_distinct, fibers = _full_scan(n)
+        census = oracle_counts(n)
+        separated, collision_hist = census.separated, census.collision_histogram
         expected = _per_outcome_scan(n)
         assert (twin_hist, separated, image_distinct, collision_hist) == expected[:4]
         assert sorted(fibers.items()) == sorted(expected[4].items())
@@ -239,7 +240,7 @@ class TestScanReferences:
     def test_edge_set_restrictedness_matches_pairwise_test(self, n):
         u = v = 0
         graphs = set()
-        for key in _full_scan(n)[4]:
+        for key in _full_scan(n)[2]:
             if any((a & b).bit_count() > 1 for a, b in combinations(key, 2)):
                 continue
             u += 1
@@ -249,8 +250,8 @@ class TestScanReferences:
                 members = [j for j in range(n) if (mask >> j) & 1]
                 edges.update(combinations(members, 2))
             graphs.add(frozenset(edges))
-        result = _classify_fibers(n)
-        assert (result[2], result[3], result[6]) == (u, v, len(graphs))
+        census = oracle_counts(n)
+        assert (census.u, census.v, census.line_graphs) == (u, v, len(graphs))
 
 
 class TestOracleCensus:
@@ -317,7 +318,7 @@ class TestOracleCensus:
         assert census.collision_histogram == (
             54323200, 10276736, 1074752, 84896, 6720, 644, 42, 1,
         )
-        assert len(_full_scan(7)[4]) == 624889
+        assert census.s == 624889  # the number of keys in the scan's fiber map
         row = full_table(7).row(7)
         assert (census.s, census.t, census.u, census.v) == (row.s, row.t, row.u, row.v)
         assert (row.s, row.t, row.u, row.v) == (624889, 424400, 233238, 163356)

@@ -1,5 +1,5 @@
 """Tests for the package's export list, the README example that uses it,
-and the absence of unused imports."""
+and the absence of unused imports and of unused private names."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,8 @@ import cover_census
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-SOURCES = sorted(ROOT.glob("src/cover_census/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/cover_census/*.py"))
+SOURCES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def test_all_names_resolve_once():
@@ -66,3 +67,41 @@ def test_unused_import_check_sees_one():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unloaded_private_names(source):
+    """Private names a module defines at top level and never reads itself."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    private = {name for name in defined if name[:1] == "_" and name[:2] != "__"}
+    return sorted(private - loaded)
+
+
+def test_unloaded_private_check_sees_one():
+    source = (
+        "_LIMIT: int = 3\n__version__ = '0'\n"
+        "def _used():\n    return _LIMIT\n"
+        "def _left():\n    return 1\n"
+        "class _Gone:\n    pass\n"
+        "x = _used()\n"
+    )
+    assert unloaded_private_names(source) == ["_Gone", "_left"]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT))
+)
+def test_no_unloaded_private_names(path):
+    assert unloaded_private_names(path.read_text(encoding="utf-8")) == []

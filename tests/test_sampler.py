@@ -31,12 +31,12 @@ class TestSamplePartition:
     def test_returns_valid_partitions(self):
         rng = random.Random(SEED)
         for size in (0, 1, 2, 5, 9):
-            partition = sample_partition(size, rng)
-            assert isinstance(partition, SetPartition)
-            assert partition.size == size
+            draw = sample_partition(size, rng)
+            # SetPartition rejects a string that is not a growth string.
+            assert SetPartition(size, draw).rgs == draw
 
     def test_size_zero(self):
-        assert sample_partition(0, random.Random(0)).rgs == ()
+        assert sample_partition(0, random.Random(0)) == ()
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -47,12 +47,12 @@ class TestSamplePartition:
             sample_partition(DEFAULT_BELL_CAP + 1, random.Random(0))
 
     def test_deterministic_given_seed(self):
-        draws_a = [sample_partition(6, random.Random(SEED)).rgs for _ in range(1)]
-        draws_b = [sample_partition(6, random.Random(SEED)).rgs for _ in range(1)]
+        draws_a = [sample_partition(6, random.Random(SEED)) for _ in range(1)]
+        draws_b = [sample_partition(6, random.Random(SEED)) for _ in range(1)]
         assert draws_a == draws_b
         rng_a, rng_b = random.Random(SEED), random.Random(SEED)
-        stream_a = [sample_partition(5, rng_a).rgs for _ in range(40)]
-        stream_b = [sample_partition(5, rng_b).rgs for _ in range(40)]
+        stream_a = [sample_partition(5, rng_a) for _ in range(40)]
+        stream_b = [sample_partition(5, rng_b) for _ in range(40)]
         assert stream_a == stream_b
 
     def test_uniform_over_partitions_of_three(self):
@@ -60,7 +60,7 @@ class TestSamplePartition:
         trials = 25_000
         counts = {}
         for _ in range(trials):
-            rgs = sample_partition(3, rng).rgs
+            rgs = sample_partition(3, rng)
             counts[rgs] = counts.get(rgs, 0) + 1
         assert len(counts) == bell(3) == 5
         observed = list(counts.values())
@@ -74,7 +74,7 @@ class TestSamplePartition:
         hits = sum(
             1
             for _ in range(trials)
-            if (lambda rgs: 0 not in rgs[1:])(sample_partition(5, rng).rgs)
+            if (lambda rgs: 0 not in rgs[1:])(sample_partition(5, rng))
         )
         expected = bell(4) / bell(5)
         error = math.sqrt(expected * (1 - expected) / trials)
@@ -102,7 +102,7 @@ class TestRankDecode:
         decoded = []
         for rank in range(bell(size)):
             rng.rank = rank
-            decoded.append(sample_partition(size, rng).rgs)
+            decoded.append(sample_partition(size, rng))
             assert rng.rank is None
         expected = [partition.rgs for partition in enumerate_partitions(size)]
         assert sorted(decoded) == sorted(expected)
@@ -160,8 +160,8 @@ class TestStream:
 
     def test_draws_are_pinned(self):
         rng = random.Random(SEED)
-        small = [sample_partition(12, rng).rgs for _ in range(2000)]
-        big = [sample_partition(200, rng).rgs for _ in range(20)]
+        small = [sample_partition(12, rng) for _ in range(2000)]
+        big = [sample_partition(200, rng) for _ in range(20)]
         digest = hashlib.sha256(repr((small, big)).encode()).hexdigest()
         assert digest == (
             "b55c4f099eb6b3c599fdd6fe430b1b6bfda6a614b0e78383ee8e9c3f6d82104e"
