@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions
 from .errors import ConsistencyError
@@ -234,15 +235,6 @@ class ReportRow:
     ratio_v_saddle: float | None = None
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Convergence report for the growth estimates over a grid of n."""
-
-    max_n: int
-    note: str
-    rows: tuple[ReportRow, ...]
-
-
 def report_grid(max_n: int) -> list[int]:
     """Geometric grid 4, 8, ..., with max_n appended when missing.
 
@@ -273,8 +265,9 @@ def report_grid(max_n: int) -> list[int]:
     return grid
 
 
-def asymptotic_report(max_n: int) -> AsymptoticReport:
-    """Build the exact-versus-estimate convergence report on report_grid.
+def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
+    """The exact-versus-estimate convergence report, one row per point of
+    report_grid.
 
     Exact sequence values are computed up to min(max_n, DEFAULT_BELL_CAP /
     2), with the cap read at call time; for rows beyond that, log B_{2n}
@@ -324,7 +317,7 @@ def asymptotic_report(max_n: int) -> AsymptoticReport:
                 ratio_v_saddle=math.exp(logs["v"] - est_saddle),
             )
         rows.append(row)
-    return AsymptoticReport(max_n=max_n, note=REPORT_NOTE, rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -342,14 +335,14 @@ class TrendCheck:
         return self.last_deviation < self.first_deviation
 
 
-def ratio_trends(report: AsymptoticReport) -> list[TrendCheck]:
+def ratio_trends(rows: Sequence[ReportRow]) -> list[TrendCheck]:
     """Compare |ratio_t - 1| and |ratio_v - 1| at the first and last grid
     points with exact data."""
     checks = []
     for column in ("ratio_t", "ratio_v"):
         present = [
             (row.n, getattr(row, column))
-            for row in report.rows
+            for row in rows
             if getattr(row, column) is not None
         ]
         if len(present) < 2:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .asymptotics import (
+    REPORT_NOTE,
     ReportRow,
     asymptotic_report,
     image_collision_bound,
@@ -49,7 +50,7 @@ TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
 REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(ReportRow))
 
-# full_table(256) takes 30-40 s on a 2-core host, nearly all of it in the
+# full_table(256) takes 26-40 s on a 2-core host, nearly all of it in the
 # triple loop of restricted_proper_sequence, and the cost grows faster than
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
@@ -197,15 +198,15 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     _announce_table(min(args.max_n, DEFAULT_BELL_CAP // 2))
     try:
-        report = asymptotic_report(args.max_n)
+        rows = asymptotic_report(args.max_n)
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "csv":
-        text = _csv(REPORT_FIELDS, map(dataclasses.astuple, report.rows), report.note)
+        text = _csv(REPORT_FIELDS, map(dataclasses.astuple, rows), REPORT_NOTE)
     else:
-        text = _json(args, list(map(dataclasses.asdict, report.rows)), note=report.note)
+        text = _json(args, list(map(dataclasses.asdict, rows)), note=REPORT_NOTE)
     sys.stdout.write(text)
-    for check in ratio_trends(report):
+    for check in ratio_trends(rows):
         status = "PASS" if check.improved else "WARN"
         print(
             f"trend {check.column}: |ratio-1| {check.first_deviation:.4f} at"
@@ -260,7 +261,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             count * math.perm(x, r)
             for x, count in enumerate(census.merged_twin_histogram)
         )
-        == math.perm(n, r) * bell(2 * n - r)
+        == merged_twin_moment(n, r) * census.bell_2n
         for r in range(n + 1)
     )
     ok &= _check_line("merged-twin factorial moments", moments_ok, lines)

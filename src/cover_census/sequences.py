@@ -186,6 +186,13 @@ def stirling_transform(values: Sequence[int]) -> list[int]:
     ]
 
 
+def _require_equal(route: str, expected: Sequence[int], actual: Sequence[int]) -> None:
+    """Raise ConsistencyError at the first n where two routes' counts differ."""
+    for n, (a, b) in enumerate(zip(expected, actual, strict=True)):
+        if a != b:
+            raise ConsistencyError(f"{route}: first mismatch at n={n}: {a} vs {b}")
+
+
 def line_transform(v_series: PowerSeries) -> list[int]:
     """Line-graph counts from the restricted-proper EGF.
 
@@ -210,18 +217,8 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     cubic = PowerSeries.from_sequence([0, 0, 0, -1], degree)
     direct = (PowerSeries.x(degree) + cubic).exp() * v_series
     via_u = cubic.exp() * (v_series * PowerSeries.x(degree).exp())
-    values = []
-    for n, (term, other) in enumerate(zip(direct.terms, via_u.terms)):
-        if term != other:
-            raise ConsistencyError(
-                f"line-graph series routes disagree at n={n}: {term} vs {other}"
-            )
-        if term.denominator != 1:
-            raise ConsistencyError(
-                f"line-graph count at n={n} is non-integer {term}"
-            )
-        values.append(int(term))
-    return values
+    _require_equal("line-graph series routes", direct.terms, via_u.terms)
+    return list(direct.terms)
 
 
 @dataclass(frozen=True)
@@ -250,17 +247,8 @@ class SequenceTable:
         return self.rows[n]
 
 
-def _check_sequence_match(name: str, expected: Sequence[int], series: PowerSeries) -> None:
-    for n, value in enumerate(expected):
-        term = series.sequence_term(n)
-        if term != value:
-            raise ConsistencyError(
-                f"{name}: first mismatch at n={n}: {value} vs {term}"
-            )
-
-
-def _check_separated_route(t: Sequence[int]) -> None:
-    """Check every t_n against the separated partitions of [2n].
+def _separated_route(t: Sequence[int]) -> list[int]:
+    """Fold every t_n into the separated partitions of [2n].
 
     A repeated block of a 2-cover is a whole component, so a cover is a
     proper cover of k elements beside a doubled set partition of the other
@@ -269,14 +257,10 @@ def _check_separated_route(t: Sequence[int]) -> None:
     w_m = sum_j S(m, j) 2^(m-j); the left side uses Bell numbers only.
     """
     w = [sum(stirling2(m, j) << (m - j) for j in range(m + 1)) for m in range(len(t))]
-    for n in range(len(t)):
-        separated = separated_partitions(n)
-        folded = sum(comb(n, k) * (t[k] << k) * w[n - k] for k in range(n + 1))
-        if folded != separated:
-            raise ConsistencyError(
-                "separated-partition route (T vs inclusion-exclusion over"
-                f" merged twins): first mismatch at n={n}: {separated} vs {folded}"
-            )
+    return [
+        sum(comb(n, k) * (t[k] << k) * w[n - k] for k in range(n + 1))
+        for n in range(len(t))
+    ]
 
 
 def full_table(max_n: int) -> SequenceTable:
@@ -299,44 +283,42 @@ def full_table(max_n: int) -> SequenceTable:
     v = restricted_proper_sequence(max_n)
 
     spot = min(max_n, _BIVARIATE_SPOT_DEGREE)
-    literal = sequence_from_block_series(block_count_series(spot))
-    if literal != v[: spot + 1]:
-        raise ConsistencyError(
-            "collapsed and literal block-count extractions disagree: "
-            f"{v[: spot + 1]} vs {literal}"
-        )
+    _require_equal(
+        "collapsed and literal block-count extractions",
+        v[: spot + 1],
+        sequence_from_block_series(block_count_series(spot)),
+    )
 
     u = binomial_transform(v)
     t = stirling_transform(v)
-    _check_separated_route(t)
+    _require_equal(
+        "separated-partition route (T vs inclusion-exclusion over merged twins)",
+        [separated_partitions(n) for n in range(max_n + 1)],
+        _separated_route(t),
+    )
     s = stirling_transform(u)
     v_series = PowerSeries.from_sequence(v, max_n)
     l = line_transform(v_series)
 
     exp_x = PowerSeries.x(max_n).exp()
     u_series = v_series * exp_x
-    _check_sequence_match("restricted route (V * e^x vs binomial transform)", u, u_series)
+    _require_equal("restricted route (V * e^x vs binomial transform)", u, u_series.terms)
 
     t_series = PowerSeries.from_sequence(t, max_n)
-    bell_series = (exp_x - PowerSeries.one(max_n)).exp()
-    _check_sequence_match(
+    shifted = exp_x - PowerSeries.one(max_n)
+    _require_equal(
         "plain-cover route (T * Bell EGF vs Stirling transform)",
         s,
-        t_series * bell_series,
+        (t_series * shifted.exp()).terms,
     )
 
     d = min(max_n, COMPOSE_CHECK_DEGREE)
-    shifted = (PowerSeries.x(d).exp() - PowerSeries.one(d))
-    _check_sequence_match(
-        "composition route for all 2-covers",
-        s[: d + 1],
-        u_series.truncate(d).compose(shifted),
-    )
-    _check_sequence_match(
-        "composition route for proper 2-covers",
-        t[: d + 1],
-        v_series.truncate(d).compose(shifted),
-    )
+    for covers, counts, series in (("all", s, u_series), ("proper", t, v_series)):
+        _require_equal(
+            f"composition route for {covers} 2-covers",
+            counts[: d + 1],
+            series.truncate(d).compose(shifted.truncate(d)).terms,
+        )
 
     rows = []
     for n in range(max_n + 1):

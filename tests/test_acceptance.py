@@ -7,15 +7,18 @@ exhaustive checks at the next size.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import scipy.stats
 
+import cover_census
 from cover_census.asymptotics import (
     asymptotic_report,
     lambert_w,
@@ -224,11 +227,11 @@ def test_convergence_trend():
     with criterion("convergence-trend"):
         start = time.monotonic()
         report = asymptotic_report(256)
-        rows = {row.n: row for row in report.rows}
+        rows = {row.n: row for row in report}
         assert set(rows) == {4, 8, 16, 32, 64, 128, 256}
         assert abs(rows[256].ratio_t - 1.0) < abs(rows[16].ratio_t - 1.0)
         assert abs(rows[256].ratio_v - 1.0) < abs(rows[16].ratio_v - 1.0)
-        for row in report.rows:
+        for row in report:
             for name in ("s", "t", "u", "v", "l"):
                 ratio = getattr(row, f"ratio_{name}")
                 assert ratio is not None
@@ -247,11 +250,15 @@ def test_determinism():
             ["sample", "--n", "3", "--stat", "p-x0",
              "--trials", "3000", "--seed", "11"],
         ]
+        # Point the children at the package this suite imported.
+        package_parent = str(Path(cover_census.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_parent}
         for argv in commands:
             runs = [
                 subprocess.run(
                     [sys.executable, "-m", "cover_census", *argv],
                     capture_output=True,
+                    env=env,
                 )
                 for _ in range(2)
             ]

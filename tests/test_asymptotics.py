@@ -10,7 +10,6 @@ import scipy.special
 
 from cover_census import asymptotics
 from cover_census.asymptotics import (
-    REPORT_NOTE,
     asymptotic_report,
     image_collision_bound,
     lambert_w,
@@ -248,11 +247,9 @@ class TestReport:
             report_grid(1)
 
     def test_report_exact_rows(self):
-        report = asymptotic_report(16)
-        assert report.max_n == 16
-        assert report.note == REPORT_NOTE
-        assert [row.n for row in report.rows] == [4, 8, 16]
-        for row in report.rows:
+        rows = asymptotic_report(16)
+        assert [row.n for row in rows] == [4, 8, 16]
+        for row in rows:
             assert row.bell_source == "exact"
             assert row.log_bell_2n == pytest.approx(
                 log_integer(bell(2 * row.n)), rel=1e-14
@@ -269,8 +266,7 @@ class TestReport:
 
     def test_report_asymptotic_fallback(self, monkeypatch):
         monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 16)
-        report = asymptotic_report(20)
-        by_n = {row.n: row for row in report.rows}
+        by_n = {row.n: row for row in asymptotic_report(20)}
         assert by_n[4].bell_source == "exact"
         assert by_n[8].bell_source == "exact"
         for n in (16, 20):
@@ -281,13 +277,12 @@ class TestReport:
             assert row.est_st < row.log_bell_2n
 
     def test_max_n_below_two_rejected(self):
-        assert [row.n for row in asymptotic_report(2).rows] == [2]
+        assert [row.n for row in asymptotic_report(2)] == [2]
         with pytest.raises(ValueError):
             asymptotic_report(1)
 
     def test_trends_improve_to_64(self):
-        report = asymptotic_report(64)
-        checks = {c.column: c for c in ratio_trends(report)}
+        checks = {c.column: c for c in ratio_trends(asymptotic_report(64))}
         assert set(checks) == {"ratio_t", "ratio_v"}
         for check in checks.values():
             assert check.first_n == 4
@@ -297,11 +292,11 @@ class TestReport:
     def test_trends_need_two_exact_rows(self, monkeypatch):
         # Under a Bell cap of 8 only the n = 4 row of 4, 8, 16, 20 is exact.
         monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 8)
-        report = asymptotic_report(20)
-        assert [row.bell_source for row in report.rows] == [
+        rows = asymptotic_report(20)
+        assert [row.bell_source for row in rows] == [
             "exact",
             "asymptotic",
             "asymptotic",
             "asymptotic",
         ]
-        assert ratio_trends(report) == []
+        assert ratio_trends(rows) == []

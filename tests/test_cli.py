@@ -28,6 +28,9 @@ from cover_census.sequences import full_table
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
+# The directory holding the cover_census package this suite imported.
+PACKAGE_PARENT = str(Path(cover_census.__file__).resolve().parents[1])
+
 REPORT_HEADER = (
     "n,bell_source,log_bell_2n,est_st,est_uvl,est_saddle,saddle_blocks,"
     "log_s,log_t,log_u,log_v,log_l,"
@@ -120,6 +123,12 @@ def table_json(csv_text, max_n):
     )
 
 
+def child_env():
+    """This environment with PYTHONPATH pointing at PACKAGE_PARENT, so a
+    child interpreter runs the code under test without an install."""
+    return {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
+
+
 def console_script_from_pyproject(tmp_path):
     """Write the wrapper pip generates for the declared cover-census entry.
 
@@ -142,9 +151,7 @@ def console_script_from_pyproject(tmp_path):
         encoding="utf-8",
     )
     script.chmod(0o755)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(cover_census.__file__).resolve().parents[1])
-    return str(script), env
+    return str(script), child_env()
 
 
 def run_cli(*argv):
@@ -152,6 +159,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "cover_census", *argv],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -588,7 +596,7 @@ class TestProcessLevel:
     )
     def test_unwritable_stdout_is_usage_error(self, argv):
         # Buffered stdout fails at the final flush, unbuffered at the write.
-        buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
         for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
             with open("/dev/full", "w") as full:
                 result = subprocess.run(

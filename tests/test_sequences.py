@@ -211,8 +211,9 @@ class TestSequenceConsistencyMachinery:
             (sequences, "binomial_transform", 1, "restricted route"),
             (sequences, "stirling_transform", 2, "plain-cover route"),  # u -> s
             (PowerSeries, "compose", 1, "composition route"),
+            (PowerSeries, "__mul__", 1, "line-graph series routes"),
         ],
-        ids=["binomial", "stirling-u-to-s", "compose"],
+        ids=["binomial", "stirling-u-to-s", "compose", "line-graph-product"],
     )
     def test_series_checks_catch_perturbed_operand(
         self, monkeypatch, owner, name, call, match, k
