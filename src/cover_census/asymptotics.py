@@ -10,9 +10,8 @@ exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions
 from .errors import ConsistencyError
@@ -204,8 +203,7 @@ def image_collision_bound(n: int) -> Fraction:
     return Fraction(numerator, bell(2 * n))
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One report line: estimators at n, and exact comparisons when known.
 
     The ``ratio_*`` columns are linear-space quotients exact/estimate;
@@ -302,8 +300,7 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
                 name: log_integer(getattr(counts, name))
                 for name in ("s", "t", "u", "v", "l")
             }
-            row = replace(
-                row,
+            row = row._replace(
                 log_s=logs["s"],
                 log_t=logs["t"],
                 log_u=logs["u"],
@@ -320,8 +317,7 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class TrendCheck:
+class TrendCheck(NamedTuple):
     """Deviation-from-1 comparison of a ratio column at its grid endpoints."""
 
     column: str

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import errno
 import io
 import json
 import math
@@ -48,7 +48,7 @@ from .sequences import full_table
 
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
-REPORT_FIELDS = tuple(field.name for field in dataclasses.fields(ReportRow))
+REPORT_FIELDS = ReportRow._fields
 
 # full_table(256) takes 26-40 s on a 2-core host, nearly all of it in the
 # triple loop of restricted_proper_sequence, and the cost grows faster than
@@ -125,9 +125,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStream(io.TextIOBase):
+    """Replaces a dead stream: None (print() reads it as stdout) or failed."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+def _last_word(line: str, code: int) -> int:
+    """Print to stderr and return the exit code.  A stderr that fails keeps
+    the bytes, so it is swapped out, or the final flush would exit 120."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        sys.stderr = _ClosedStream()
+    return code
+
+
 def _usage_error(message: str) -> int:
-    print(f"cover-census: error: {message}", file=sys.stderr)
-    return 2
+    return _last_word(f"cover-census: error: {message}", 2)
 
 
 def _csv(header: Sequence[str], rows: Iterable, comment: str | None = None) -> str:
@@ -169,15 +185,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         table = full_table(args.max_n)
     except ValueError as exc:
         return _usage_error(str(exc))
-    rows = list(map(dataclasses.astuple, table.rows))
     if args.format == "csv":
-        text = _csv(TABLE_FIELDS, rows)
+        text = _csv(TABLE_FIELDS, table.rows)
     else:
         # Counts go out as decimal strings; they soon outgrow a double.
-        text = _json(
-            args,
-            [dict(zip(TABLE_FIELDS, (n, *map(str, counts)))) for n, *counts in rows],
-        )
+        rows = [(n, *map(str, counts)) for n, *counts in table.rows]
+        text = _json(args, [dict(zip(TABLE_FIELDS, row)) for row in rows])
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -202,9 +215,9 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.format == "csv":
-        text = _csv(REPORT_FIELDS, map(dataclasses.astuple, rows), REPORT_NOTE)
+        text = _csv(REPORT_FIELDS, rows, REPORT_NOTE)
     else:
-        text = _json(args, list(map(dataclasses.asdict, rows)), note=REPORT_NOTE)
+        text = _json(args, [row._asdict() for row in rows], note=REPORT_NOTE)
     sys.stdout.write(text)
     for check in ratio_trends(rows):
         status = "PASS" if check.improved else "WARN"
@@ -373,20 +386,22 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    sys.stdout = sys.stdout or _ClosedStream()
+    sys.stderr = sys.stderr or _ClosedStream()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()
     except ConsistencyError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+        return _last_word(f"FAIL: {exc}", 1)
     except OSError as exc:
         # Point stdout at the null device: a failed flush keeps the bytes
         # it could not write, and the interpreter's final flush would fail
         # on them again with an "Exception ignored" message.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        if not isinstance(sys.stdout, _ClosedStream):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
         return _usage_error(f"cannot write output: {exc.strerror or exc}")
     return code
 

@@ -18,11 +18,11 @@ Sizes are capped by an explicit limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import bell
 from .errors import ConsistencyError
@@ -57,30 +57,27 @@ def _iter_rgs(size: int) -> Iterator[list[int]]:
             bounds[k] = nb
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(namedtuple("SetPartition", "size rgs")):
     """A set partition of [size], stored as a restricted growth string.
 
     ``rgs[i]`` is the block label of element i + 1; labels appear in order
     of first use, which makes the representation canonical.
     """
 
-    size: int
-    rgs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size < 0 or len(self.rgs) != self.size:
-            raise ValueError(
-                f"expected {self.size} labels, got {len(self.rgs)}"
-            )
+    def __new__(cls, size: int, rgs: tuple[int, ...]) -> "SetPartition":
+        if size < 0 or len(rgs) != size:
+            raise ValueError(f"expected {size} labels, got {len(rgs)}")
         highest = 0
-        for i, label in enumerate(self.rgs):
+        for i, label in enumerate(rgs):
             if not 0 <= label <= highest:
                 raise ValueError(
                     f"label {label} at position {i} breaks restricted growth"
                 )
             if label == highest:
                 highest += 1
+        return super().__new__(cls, size, rgs)
 
     @property
     def block_count(self) -> int:
@@ -102,8 +99,7 @@ def enumerate_partitions(size: int) -> Iterator[SetPartition]:
         yield SetPartition(size, tuple(labels))
 
 
-@dataclass(frozen=True)
-class TwoCover:
+class TwoCover(NamedTuple):
     """A 2-cover of [n]: a block multiset covering every element twice."""
 
     n: int
@@ -152,8 +148,7 @@ def image_collision_count(rgs: Sequence[int], n: int) -> int:
     return len(masks) - len(set(masks))
 
 
-@dataclass(frozen=True)
-class PartitionClassification:
+class PartitionClassification(NamedTuple):
     """How one partition of [2n] sits under the folding map."""
 
     separated: bool
@@ -282,8 +277,7 @@ def _mask_block(mask: int, n: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in range(n) if (mask >> j) & 1)
 
 
-@dataclass(frozen=True)
-class OracleCensus:
+class OracleCensus(NamedTuple):
     """Exhaustive counts at one ground-set size.
 
     ``s``, ``t``, ``u``, ``v`` are the cover counts (all, proper,
@@ -406,8 +400,7 @@ def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
     return _census(n)
 
 
-@dataclass(frozen=True)
-class FiberCheck:
+class FiberCheck(NamedTuple):
     """Result of verifying preimage counts of the folding map."""
 
     covers: int

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import bell
 from .oracle import image_collision_count, merged_twin_count
@@ -39,22 +39,20 @@ def _mix_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(namedtuple("SamplerConfig", "trials seed")):
     """Trial count and base seed for one estimation run."""
 
-    trials: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+    def __new__(cls, trials: int, seed: int) -> "SamplerConfig":
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+        return super().__new__(cls, trials, seed)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A Monte Carlo estimate with its standard error and provenance."""
 
     n: int

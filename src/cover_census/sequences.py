@@ -20,10 +20,9 @@ the correction factor exp(x - x^3/6) converts ``v`` into ``l``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions, stirling2
 from .errors import ConsistencyError
@@ -221,8 +220,7 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     return list(direct.terms)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One row of the exact table: all five counts at a single n."""
 
     n: int
@@ -234,8 +232,7 @@ class TableRow:
     bell_2n: int
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(NamedTuple):
     """Exact counts for n = 0 .. max_n with cross-checked provenance."""
 
     max_n: int

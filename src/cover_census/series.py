@@ -10,26 +10,37 @@ rational terms work too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from numbers import Rational
 from typing import Sequence
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """Truncated EGF holding the exact sequence terms n! [x^n]."""
 
-    degree: int
-    terms: tuple[Rational, ...]
+    __slots__ = ("degree", "terms")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if len(self.terms) != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} terms, got {len(self.terms)}"
-            )
+    def __init__(self, degree: int, terms: tuple[Rational, ...]) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if len(terms) != degree + 1:
+            raise ValueError(f"expected {degree + 1} terms, got {len(terms)}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.terms) == (other.degree, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.terms))
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(degree={self.degree!r}, terms={self.terms!r})"
 
     @staticmethod
     def from_sequence(values: Sequence[Rational], degree: int) -> "PowerSeries":

@@ -7,7 +7,6 @@ the wrapper an installer would generate from the cover-census entry in
 [project.scripts] of pyproject.toml.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -154,6 +153,15 @@ def console_script_from_pyproject(tmp_path):
     return str(script), child_env()
 
 
+# One small run of each command, for the output-stream failure tests.
+EVERY_COMMAND = [
+    ("table", "--max-n", "3"),
+    ("oracle", "--n", "3"),
+    ("asymptotics", "--max-n", "8"),
+    ("sample", "--n", "2", "--stat", "p-x0", "--trials", "10", "--seed", "1"),
+]
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "cover_census", *argv],
@@ -261,8 +269,8 @@ class TestOracleCommand:
     def test_fiber_mismatch_fails(self, capsys, monkeypatch):
         census = cli.oracle_counts(3)
         cover = TwoCover.from_blocks(3, [(1, 2, 3), (1, 2, 3)])
-        broken = dataclasses.replace(
-            census, fiber_mismatches=census.fiber_mismatches + ((cover, 4, 3),)
+        broken = census._replace(
+            fiber_mismatches=census.fiber_mismatches + ((cover, 4, 3),)
         )
         monkeypatch.setattr(cli, "oracle_counts", lambda n, limit: broken)
         assert main(["oracle", "--n", "3"]) == 1
@@ -585,15 +593,7 @@ class TestProcessLevel:
         assert result.returncode == 2
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("table", "--max-n", "3"),
-            ("oracle", "--n", "3"),
-            ("asymptotics", "--max-n", "8"),
-            ("sample", "--n", "2", "--stat", "p-x0", "--trials", "10", "--seed", "1"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
     def test_unwritable_stdout_is_usage_error(self, argv):
         # Buffered stdout fails at the final flush, unbuffered at the write.
         buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
@@ -612,6 +612,45 @@ class TestProcessLevel:
             )
             assert "Traceback" not in result.stderr
             assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize("argv", EVERY_COMMAND)
+    def test_closed_stdout_is_usage_error(self, argv):
+        # With descriptor 1 closed at startup, Python sets sys.stdout to None.
+        result = subprocess.run(
+            [sys.executable, "-m", "cover_census", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+            preexec_fn=lambda: os.close(1),
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "cover-census: error: cannot write output: Bad file descriptor\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stderr_is_usage_error(self):
+        # A closed stderr is None, and print() would send the trend lines to
+        # stdout; a buffered one keeps the bytes it could not write, and the
+        # interpreter's final flush would fail on them with exit code 120.
+        argv = [sys.executable, "-m", "cover_census", "asymptotics", "--max-n", "16"]
+        buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+            closed = subprocess.run(
+                argv,
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+                preexec_fn=lambda: os.close(2),
+            )
+            with open("/dev/full", "w") as full:
+                filled = subprocess.run(
+                    argv, stdout=subprocess.PIPE, stderr=full, text=True, env=env
+                )
+            for result in (closed, filled):
+                assert result.returncode == 2
+                assert "trend ratio_" not in result.stdout
 
     def test_console_script_installed(self, tmp_path):
         path, env = shutil.which("cover-census"), None

@@ -1,7 +1,10 @@
 """Tests for the package's export list, the README example that uses it,
-and the absence of unused imports and of unused private names."""
+the modules the CLI imports, and the absence of unused imports and of
+unused private names."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,21 @@ def test_readme_library_section_matches_exports():
         assert f"`{name}`" in section, name
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(code, {"__name__": "readme_library"})
+
+
+def test_cli_import_skips_dataclasses():
+    # The records are named tuples: importing dataclasses, with the inspect
+    # module it loads, and building the records was about half of every
+    # command's import time.
+    package_parent = str(Path(cover_census.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_parent!r}); "
+        "import cover_census.cli; print('dataclasses' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 def unused_imports(source):

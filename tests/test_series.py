@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PowerSeries(2, (Fraction(1),))
 
+    def test_value_semantics(self):
+        a = PowerSeries.x(2)
+        assert a == PowerSeries.from_sequence([0, 1], 2)
+        assert hash(a) == hash(PowerSeries.from_sequence([0, 1], 2))
+        assert a != PowerSeries.x(3)
+        assert a != (2, (0, 1, 0))
+        assert repr(a) == "PowerSeries(degree=2, terms=(0, 1, 0))"
+        with pytest.raises(AttributeError):
+            a.degree = 3
+
     def test_sequence_term_range_checked(self):
         s = PowerSeries.one(3)
         with pytest.raises(ValueError):
@@ -78,6 +88,21 @@ class TestArithmetic:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             series_of([1], 2) + series_of([1], 3)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda ps: ps * 2,
+            lambda ps: 2 * ps,
+            lambda ps: ps + (0,),
+            lambda ps: (0,) + ps,
+        ],
+        ids=["ps*2", "2*ps", "ps+tuple", "tuple+ps"],
+    )
+    def test_non_series_operand_rejected(self, operation):
+        # A tuple-based series would repeat or concatenate its fields here.
+        with pytest.raises(TypeError):
+            operation(PowerSeries.one(2))
 
     def test_geometric_series_inverse(self):
         # 1 / (1 - x) has x^k coefficient 1, so its EGF terms are k!.
