@@ -55,8 +55,9 @@ REPORT_FIELDS = ReportRow._fields
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
-# A draw costs 0.5-0.75 us per element of [2n] on the same host, so a
-# sample run drawing more elements than this takes a minute or more.
+# A draw costs 0.4-0.9 us per element of [2n] at n = 100..512 on the same
+# host (0.3-0.35 us at n = 6), so a sample run drawing more elements than
+# this at large n takes a minute or more.
 _ANNOUNCE_ABOVE_ELEMENTS = 10**8
 
 
@@ -396,10 +397,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         return _last_word(f"FAIL: {exc}", 1)
     except OSError as exc:
-        # Point stdout at the null device: a failed flush keeps the bytes
-        # it could not write, and the interpreter's final flush would fail
-        # on them again with an "Exception ignored" message.
-        if not isinstance(sys.stdout, _ClosedStream):
+        # If only stderr failed, stdout still holds its output: flush it.  If
+        # stdout failed, point it at the null device: a failed flush keeps
+        # the bytes it could not write, and the interpreter's final flush
+        # would fail on them again with an "Exception ignored" message.
+        try:
+            sys.stdout.flush()
+        except OSError:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
         return _usage_error(f"cannot write output: {exc.strerror or exc}")

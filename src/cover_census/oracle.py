@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import or_
+from operator import eq, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import bell
@@ -79,6 +79,11 @@ class SetPartition(namedtuple("SetPartition", "size rgs")):
                 highest += 1
         return super().__new__(cls, size, rgs)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
+
     @property
     def block_count(self) -> int:
         return max(self.rgs) + 1 if self.rgs else 0
@@ -131,7 +136,7 @@ def merged_twin_count(rgs: Sequence[int], n: int) -> int:
     """Count twin pairs {j, j + n} sharing a block, from a growth string."""
     if len(rgs) != 2 * n:
         raise ValueError(f"expected a partition of [{2 * n}]")
-    return sum(1 for j in range(n) if rgs[j] == rgs[j + n])
+    return sum(map(eq, rgs[:n], rgs[n:]))
 
 
 def image_collision_count(rgs: Sequence[int], n: int) -> int:

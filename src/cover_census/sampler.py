@@ -11,6 +11,11 @@ size k for C(m-1, k-1) B_{m-k} ranks; within that range the rank splits
 into the colex rank of the block's other k-1 members among the m-1 other
 elements and the rank of the partition of the m-k elements left over.  The
 decode is a bijection from [0, B_size) onto the partitions of [size].
+
+Once at most _TAIL = 7 elements remain, the rest is read from a table:
+``_tails[m][rank]`` is the growth string of the partition of m elements at
+``rank``, for every m <= 7, 1,156 tuples in all.  The first draw builds it
+with the same decode, ``_tails[m]`` from ``_tails[m - k]``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
-from .combinatorics import bell
+from .combinatorics import _bell_values, bell
 from .oracle import image_collision_count, merged_twin_count
 
 _MASK64 = (1 << 64) - 1
@@ -50,6 +55,11 @@ class SamplerConfig(namedtuple("SamplerConfig", "trials seed")):
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         return super().__new__(cls, trials, seed)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` validates too."""
+        return cls(*iterable)
 
 
 class Estimate(NamedTuple):
@@ -102,6 +112,43 @@ def _binomial_rows(top: int, length: int) -> list[list[int]]:
     return _binomials
 
 
+_TAIL = 7
+_tails: list[list[tuple[int, ...]]] = []
+
+
+def _unrank(size: int, rank: int) -> tuple[int, ...]:
+    """Decode a rank in [0, B_size): split off blocks, at least one, until
+    at most _TAIL elements remain, then read their labels from _tails."""
+    if not size:
+        return ()
+    bells = _bell_values  # filled to size: the rank came from bell(size)
+    labels = [0] * size
+    remaining = list(range(size))
+    label = 0
+    m = size
+    while True:
+        k = _block_size(m, rank)
+        labels[remaining.pop(0)] = label
+        if k > 1:
+            rank -= _cumulative[m][k - 2]
+            subset, rank = divmod(rank, bells[m - k])
+            # Colex unranking: the members sit at positions c_{k-1} > ... > c_1
+            # of the m - 1 others, with subset = sum_j C(c_j, j).
+            rows = _binomial_rows(k - 1, m - 1)
+            for j in range(k - 1, 0, -1):
+                row = rows[j]
+                c = bisect_right(row, subset) - 1
+                subset -= row[c]
+                labels[remaining.pop(c)] = label
+        label += 1
+        m -= k
+        if m <= _TAIL:
+            break
+    for element, offset in zip(remaining, _tails[m][rank]):
+        labels[element] = label + offset
+    return tuple(labels)
+
+
 def sample_partition(size: int, rng: random.Random) -> tuple[int, ...]:
     """Draw one exactly-uniform set partition of [size] as its growth string.
 
@@ -113,26 +160,10 @@ def sample_partition(size: int, rng: random.Random) -> tuple[int, ...]:
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     rank = rng.randrange(bell(size))  # bell rejects a size above its cap
-    labels = [0] * size
-    remaining = list(range(size))
-    next_label = 0
-    while remaining:
-        m = len(remaining)
-        k = _block_size(m, rank)
-        labels[remaining.pop(0)] = next_label
-        if k > 1:
-            rank -= _cumulative[m][k - 2]
-            subset, rank = divmod(rank, bell(m - k))
-            # Colex unranking: the members sit at positions c_{k-1} > ... > c_1
-            # of the m - 1 others, with subset = sum_j C(c_j, j).
-            rows = _binomial_rows(k - 1, m - 1)
-            for j in range(k - 1, 0, -1):
-                row = rows[j]
-                c = bisect_right(row, subset) - 1
-                subset -= row[c]
-                labels[remaining.pop(c)] = next_label
-        next_label += 1
-    return tuple(labels)
+    if not _tails:
+        for m in range(_TAIL + 1):
+            _tails.append([_unrank(m, r) for r in range(bell(m))])
+    return _unrank(size, rank)
 
 
 def _run_trials(
@@ -156,7 +187,7 @@ def _indicator_estimate(
     statistic: str,
     event: Callable[[Sequence[int]], bool],
 ) -> Estimate:
-    hits, _ = _run_trials(n, config, lambda rgs: 1 if event(rgs) else 0)
+    hits, _ = _run_trials(n, config, event)  # a bool sums as 0 or 1
     p = hits / config.trials
     return Estimate(
         n=n,

@@ -652,6 +652,25 @@ class TestProcessLevel:
                 assert result.returncode == 2
                 assert "trend ratio_" not in result.stdout
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stderr_keeps_stdout(self):
+        # The trend lines fail on stderr while the CSV still sits in
+        # stdout's buffer; the CSV must still arrive in full.
+        argv = ("asymptotics", "--max-n", "16")
+        expected = run_cli(*argv).stdout
+        buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    [sys.executable, "-m", "cover_census", *argv],
+                    stdout=subprocess.PIPE,
+                    stderr=full,
+                    text=True,
+                    env=env,
+                )
+            assert result.returncode == 2
+            assert result.stdout == expected
+
     def test_console_script_installed(self, tmp_path):
         path, env = shutil.which("cover-census"), None
         if path is None:

@@ -110,6 +110,13 @@ class TestPartitionEnumeration:
         with pytest.raises(ValueError):
             SetPartition(2, (0,))
 
+    def test_replace_and_make_validate(self):
+        with pytest.raises(ValueError):
+            SetPartition(2, (0, 1))._replace(rgs=(1, 0))
+        with pytest.raises(ValueError):
+            SetPartition._make((2, (1, 1)))
+        assert SetPartition(2, (0, 1))._replace(rgs=(0, 0)) == (2, (0, 0))
+
 
 class TestTwoCover:
     def test_canonicalization(self):

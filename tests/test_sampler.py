@@ -3,7 +3,10 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 import scipy.stats
@@ -107,6 +110,75 @@ class TestRankDecode:
         expected = [partition.rgs for partition in enumerate_partitions(size)]
         assert sorted(decoded) == sorted(expected)
 
+    @pytest.mark.parametrize("size", range(10))
+    def test_every_rank_matches_reference(self, size):
+        # Sizes up to _TAIL are read from the table whole; above it, the
+        # decode splits blocks off before it reads the table.
+        rng = _FixedRank(size)
+        for rank in range(bell(size)):
+            rng.rank = rank
+            assert sample_partition(size, rng) == _reference_decode(size, rank)
+
+    @pytest.mark.parametrize("size", [12, 200])
+    def test_extreme_and_seeded_ranks_match_reference(self, size):
+        seeded = random.Random(SEED + size)
+        ranks = [0, bell(size) - 1]
+        ranks += [seeded.randrange(bell(size)) for _ in range(200)]
+        rng = _FixedRank(size)
+        for rank in ranks:
+            rng.rank = rank
+            assert sample_partition(size, rng) == _reference_decode(size, rank)
+
+
+def _reference_decode(size, rank):
+    """Reference: split the first block by a linear weight scan, then take
+    its other members by colex unranking with math.comb, and repeat."""
+    labels = [None] * size
+    label = 0
+    while None in labels:
+        remaining = [i for i, x in enumerate(labels) if x is None]
+        m = len(remaining)
+        k = _linear_block_size(m, rank)
+        rank -= sum(math.comb(m - 1, i - 1) * bell(m - i) for i in range(1, k))
+        subset, rank = divmod(rank, bell(m - k))
+        labels[remaining[0]] = label
+        for j in range(k - 1, 0, -1):
+            # The largest c with C(c, j) <= subset.
+            c = j - 1
+            while math.comb(c + 1, j) <= subset:
+                c += 1
+            subset -= math.comb(c, j)
+            labels[remaining[1 + c]] = label
+        label += 1
+    return tuple(labels)
+
+
+class TestTailTable:
+    def test_table_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_tails", [])
+        rng = random.Random(SEED)
+        for size in (12, 200, 1024):
+            sample_partition(size, rng)
+            assert len(sampler._tails) == sampler._TAIL + 1
+            assert sum(map(len, sampler._tails)) == sum(
+                bell(m) for m in range(sampler._TAIL + 1)
+            )
+
+    def test_import_builds_nothing(self):
+        package_parent = str(Path(sampler.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {package_parent!r}); "
+            "import cover_census.cli; from cover_census import sampler; "
+            "print(sampler._tails, sampler._cumulative, sampler._binomials)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "[] {} [[]]\n"
+
 
 def _linear_block_size(m, draw):
     """Reference: scan the exact weights C(m-1, k-1) B_{m-k} in order."""
@@ -198,6 +270,13 @@ class TestConfig:
             SamplerConfig(trials=10, seed=-1)
         with pytest.raises(ValueError):
             SamplerConfig(trials=10, seed=1 << 64)
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(ValueError):
+            SamplerConfig(10, 1)._replace(trials=0)
+        with pytest.raises(ValueError):
+            SamplerConfig._make((10, -1))
+        assert SamplerConfig(10, 1)._replace(seed=5) == SamplerConfig(10, 5)
 
     def test_defaults(self):
         config = SamplerConfig(trials=10, seed=(1 << 64) - 1)
