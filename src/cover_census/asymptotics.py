@@ -13,7 +13,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions
+from .combinatorics import (
+    DEFAULT_BELL_CAP,
+    bell,
+    image_distinct_partitions,
+    separated_partitions,
+)
 from .errors import ConsistencyError
 from .sequences import full_table
 
@@ -178,6 +183,13 @@ def separation_probability(n: int) -> Fraction:
             f"separation probability at n={n} is not a count fraction: {total}"
         )
     return total
+
+
+def collision_probability(n: int) -> Fraction:
+    """Exact probability that two folded blocks of a uniform partition of
+    [2n] coincide: one minus the image-distinct count over B_{2n}."""
+    total = bell(2 * n)
+    return Fraction(total - image_distinct_partitions(n), total)
 
 
 def separation_ratio(n: int) -> float:

@@ -27,6 +27,7 @@ from .asymptotics import (
     REPORT_NOTE,
     ReportRow,
     asymptotic_report,
+    collision_probability,
     image_collision_bound,
     merged_twin_moment,
     merged_twin_moment_variance,
@@ -34,7 +35,7 @@ from .asymptotics import (
     report_grid,
     separation_probability,
 )
-from .combinatorics import DEFAULT_BELL_CAP, bell
+from .combinatorics import DEFAULT_BELL_CAP
 from .errors import ConsistencyError
 from .oracle import DEFAULT_ORACLE_LIMIT, oracle_counts
 from .sampler import (
@@ -285,12 +286,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         separation * census.bell_2n == census.separated,
         lines,
     )
-    collision_probability = Fraction(
-        census.bell_2n - census.image_distinct, census.bell_2n
-    )
+    # oracle_counts has checked image-distinct against the formula.
     ok &= _check_line(
         "collision probability within bound",
-        collision_probability <= image_collision_bound(n),
+        collision_probability(n) <= image_collision_bound(n),
         lines,
     )
     ok &= _check_line(
@@ -306,30 +305,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _statistic(
     args: argparse.Namespace, config: SamplerConfig
-) -> tuple[Estimate, Fraction | None, float | None]:
+) -> tuple[Estimate, Fraction, Fraction | float]:
     """The sampled estimate, the exact value and the variance of one draw
-    under it; the last two are None where the exact value costs too much."""
+    under it.  Every exact value is a Bell-number formula: the moment and
+    its variance, the separation count, and for p-collision one minus the
+    image-distinct count over B_{2n}."""
     n = args.n
     if args.stat == "moment":
         return (
             estimate_twin_moment(n, args.r, config),
             merged_twin_moment(n, args.r),
-            float(merged_twin_moment_variance(n, args.r)),
+            merged_twin_moment_variance(n, args.r),
         )
     if args.stat == "p-x0":
         result = estimate_separation_probability(n, config)
         exact = separation_probability(n)
     else:
         result = estimate_collision_probability(n, config)
-        if n > DEFAULT_ORACLE_LIMIT:
-            return result, None, None
-        print(
-            f"cover-census: exact p-collision scans all Bell({2 * n}) ="
-            f" {bell(2 * n)} partitions of [{2 * n}]",
-            file=sys.stderr,
-        )
-        census = oracle_counts(n)
-        exact = Fraction(census.bell_2n - census.image_distinct, census.bell_2n)
+        exact = collision_probability(n)
     p0 = float(exact)
     return result, exact, p0 * (1.0 - p0)
 
@@ -360,14 +353,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         result, exact, variance = _statistic(args, config)
     except ValueError as exc:
         return _usage_error(str(exc))
-    z_score: float | None = None
-    if exact is not None:
-        # Score test: the denominator is the exact spread under the null,
-        # p0 (1 - p0) for a probability p0 and Var[(X)_r] for a moment, so
-        # a sample whose own spread is zero cannot make it vanish.
-        spread = math.sqrt(variance / result.trials)
+    # Score test: the denominator is the exact spread under the null,
+    # p0 (1 - p0) for a probability p0 and Var[(X)_r] for a moment, so
+    # a sample whose own spread is zero cannot make it vanish.
+    difference = result.estimate - float(exact)
+    try:
+        spread = math.sqrt(float(variance) / result.trials)
+    except OverflowError:
+        # A moment's variance can outgrow a float; the squared score cannot.
+        squared = Fraction(difference) ** 2 * result.trials / variance
+        z_score = math.copysign(math.sqrt(squared), difference)
+    else:
         # The variance is zero only for r = 0, where every draw is exactly 1.
-        z_score = (result.estimate - float(exact)) / spread if spread else 0.0
+        z_score = difference / spread if spread else 0.0
     record = {
         "n": result.n,
         "stat": result.statistic,
@@ -376,14 +374,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "seed": result.seed,
         "estimate": result.estimate,
         "std_error": result.std_error,
-        "exact": None if exact is None else float(exact),
-        "exact_fraction": None if exact is None else str(exact),
+        "exact": float(exact),
+        "exact_fraction": str(exact),
         "z_score": z_score,
     }
     sys.stdout.write(_json(args, [record]))
-    if z_score is not None and abs(z_score) > 4:
-        return 1
-    return 0
+    return 1 if abs(z_score) > 4 else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

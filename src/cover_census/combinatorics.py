@@ -9,6 +9,7 @@ to happen from a single thread.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 DEFAULT_BELL_CAP = 1024
 
@@ -70,4 +71,39 @@ def separated_partitions(n: int) -> int:
         raise ValueError(f"separated_partitions() needs n >= 0, got {n}")
     return sum(
         (-1) ** r * math.comb(n, r) * bell(2 * n - r) for r in range(n + 1)
+    )
+
+
+def _pair_collision_terms(n: int) -> list[int]:
+    """Return c_0..c_n, the EGF coefficients of exp(-(e^(2x) - 1)/2).
+
+    c_k = sum_j (-1)^j S(k, j) 2^(k-j), and c_{k+1} = -sum_i C(k, i)
+    2^(k-i) c_i.  The second form runs as a Bell triangle: with row k
+    scaled by 2^k, each entry is its left neighbour plus twice the entry
+    above that neighbour, and row k + 1 opens with c_{k+1}, minus the last
+    entry of row k.  Only one row is held, so no Stirling table is built.
+    """
+    terms, row = [1], [1]
+    for _ in range(n):
+        row = list(accumulate((2 * value for value in row), initial=-row[-1]))
+        terms.append(row[0])
+    return terms
+
+
+def image_distinct_partitions(n: int) -> int:
+    """Count partitions of [2n] whose blocks fold onto pairwise distinct sets.
+
+    Folding maps j + n to j.  Two blocks with the same image A hold exactly
+    the 2|A| elements of A's twin pairs, and three equal images are
+    impossible, so collisions come in disjoint pairs of blocks.
+    Inclusion-exclusion over the sets of colliding pairs gives
+    sum_k C(n, k) c_k B_{2n-2k}: c_k sums (-1)^j over the ways to split k
+    twin pairs into j colliding block pairs, 2^(|A|-1) ways for an image
+    A, which is the exponential formula for exp(-(e^(2x) - 1)/2).
+    """
+    if n < 0:
+        raise ValueError(f"image_distinct_partitions() needs n >= 0, got {n}")
+    return sum(
+        math.comb(n, k) * c * bell(2 * n - 2 * k)
+        for k, c in enumerate(_pair_collision_terms(n))
     )

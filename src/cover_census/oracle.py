@@ -24,7 +24,7 @@ from itertools import combinations
 from operator import eq, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .combinatorics import bell
+from .combinatorics import bell, image_distinct_partitions
 from .errors import ConsistencyError
 
 DEFAULT_ORACLE_LIMIT = 6
@@ -321,6 +321,12 @@ def _census(n: int) -> OracleCensus:
         raise ConsistencyError(
             f"twin histogram sums to {sum(twin_histogram)}, expected Bell({2 * n}) = {total}"
         )
+    formula = image_distinct_partitions(n)
+    if image_distinct != formula:
+        raise ConsistencyError(
+            f"image-distinct count failed at n={n}: the scan gives"
+            f" {image_distinct} but the pair-collision formula gives {formula}"
+        )
     # Each block's pairs as an edge bit set, one entry per possible mask.
     edge_sets = [
         sum(1 << (a * n + b) for a, b in combinations(_mask_block(mask, n), 2))
@@ -396,9 +402,10 @@ def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
     """Count 2-covers of [n] by exhausting partitions of [2n].
 
     Verifies the multiplicity structure on the way: the twin histogram
-    must sum to Bell(2n), and separated partitions with d collisions
-    overcount covers with d duplicate pairs by 2^(n - d), giving two exact
-    identities that must hold before returning.  The record is computed
+    must sum to Bell(2n), the image-distinct count must equal its
+    Bell-number formula, and separated partitions with d collisions
+    overcount covers with d duplicate pairs by 2^(n - d), giving two more
+    exact identities that must hold before returning.  The record is computed
     once per n and shared by every later call.
     """
     _check_oracle_size(n, limit)

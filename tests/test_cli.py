@@ -498,7 +498,7 @@ class TestSampleCommand:
         assert record["estimate"] == record["exact"] == 1.0
         assert record["z_score"] == 0.0
 
-    def test_collision_beyond_oracle_limit_has_no_exact(self, capsys):
+    def test_collision_beyond_oracle_limit_has_exact(self, capsys):
         code = main(
             [
                 "sample",
@@ -515,10 +515,11 @@ class TestSampleCommand:
         assert code == 0
         captured = capsys.readouterr()
         record = json.loads(captured.out)["rows"][0]
-        assert record["exact"] is None
-        assert record["exact_fraction"] is None
-        assert record["z_score"] is None
-        assert "scans" not in captured.err
+        # 1 - 159183825/Bell(14), the n = 7 image-distinct count.
+        assert record["exact_fraction"] == "31715497/190899322"
+        assert record["exact"] == 31715497 / 190899322
+        assert isinstance(record["z_score"], float)
+        assert captured.err == ""
 
     def test_collision_within_oracle_limit(self, capsys):
         code = main(
@@ -539,10 +540,41 @@ class TestSampleCommand:
         record = json.loads(captured.out)["rows"][0]
         assert record["exact_fraction"] == "50/203"
         assert abs(record["z_score"]) <= 4
-        assert captured.err == (
-            "cover-census: exact p-collision scans all Bell(6) = 203"
-            " partitions of [6]\n"
-        )
+        assert captured.err == ""
+
+    def test_collision_at_large_n_has_exact(self, capsys):
+        argv = ["sample", "--n", "100", "--stat", "p-collision"]
+        assert main(argv + ["--trials", "2000", "--seed", "1"]) == 0
+        record = json.loads(capsys.readouterr().out)["rows"][0]
+        assert 0 < record["exact"] < 1
+        assert abs(record["z_score"]) <= 4
+
+    def test_collision_never_scans(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample must not scan the oracle")
+
+        monkeypatch.setattr(cli, "oracle_counts", refuse)
+        argv = ["sample", "--n", "6", "--stat", "p-collision"]
+        assert main(argv + ["--trials", "200", "--seed", "3"]) == 0
+        record = json.loads(capsys.readouterr().out)["rows"][0]
+        assert record["exact_fraction"] == "751614/4213597"
+
+    @pytest.mark.parametrize("n, r", [(200, 154), (300, 146), (512, 141), (512, 512)])
+    def test_moment_variance_beyond_float(self, capsys, n, r):
+        # Var[(X)_r] exceeds the largest double here, so the score is taken
+        # from its exact square; every draw is 0, and the score is -E/spread.
+        argv = ["sample", "--n", str(n), "--stat", "moment", "--r", str(r)]
+        assert main(argv + ["--trials", "2", "--seed", "0"]) == 0
+        record = json.loads(capsys.readouterr().out)["rows"][0]
+        assert record["estimate"] == 0.0
+        variance = merged_twin_moment_variance(n, r)
+        log_spread = (
+            asymptotics.log_integer(variance.numerator)
+            - asymptotics.log_integer(variance.denominator)
+            - math.log(2)
+        ) / 2
+        expected = -math.exp(math.log(record["exact"]) - log_spread)
+        assert math.isclose(record["z_score"], expected, rel_tol=1e-9, abs_tol=1e-300)
 
     @pytest.mark.parametrize("trials", [97656, 97657])
     def test_long_run_is_announced(self, capsys, monkeypatch, trials):

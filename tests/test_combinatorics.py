@@ -12,7 +12,9 @@ import pytest
 from cover_census import combinatorics
 from cover_census.combinatorics import (
     DEFAULT_BELL_CAP,
+    _pair_collision_terms,
     bell,
+    image_distinct_partitions,
     separated_partitions,
     stirling2,
 )
@@ -132,3 +134,26 @@ class TestSeparatedPartitions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             separated_partitions(-1)
+
+
+class TestImageDistinctPartitions:
+    def test_pair_terms_match_stirling_form(self):
+        assert _pair_collision_terms(40) == [
+            sum((-1) ** j * stirling2(k, j) * 2 ** (k - j) for j in range(k + 1))
+            for k in range(41)
+        ]
+
+    def test_frozen_values(self):
+        # Image-distinct counts of the exhaustive scan at n = 0..7; the last
+        # is the n = 7 census, reached here without a scan.
+        assert [image_distinct_partitions(n) for n in range(8)] == [
+            1, 1, 10, 153, 3255, 93508, 3461983, 159183825,
+        ]
+
+    def test_bounded_by_bell(self):
+        for n in range(0, 513, 73):
+            assert 0 < image_distinct_partitions(n) <= bell(2 * n)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            image_distinct_partitions(-1)

@@ -11,7 +11,9 @@ from itertools import combinations
 
 import pytest
 
-from cover_census.combinatorics import bell
+from cover_census import combinatorics, oracle
+from cover_census.combinatorics import bell, image_distinct_partitions
+from cover_census.errors import ConsistencyError
 from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
     SetPartition,
@@ -311,6 +313,29 @@ class TestOracleCensus:
     def test_twin_histogram_route(self):
         assert oracle_counts(2).merged_twin_histogram == (7, 6, 2)
         assert sum(oracle_counts(4).merged_twin_histogram) == bell(8)
+
+    @pytest.mark.parametrize("n", range(DEFAULT_ORACLE_LIMIT + 1))
+    def test_image_distinct_formula(self, n):
+        assert oracle_counts(n).image_distinct == image_distinct_partitions(n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_perturbed_pair_term_fails_at_its_index(self, monkeypatch, k):
+        # c_k enters the formula from n = k on, so the scan at k - 1 still
+        # agrees and the scan at k must name exactly that size.
+        terms = combinatorics._pair_collision_terms
+
+        def perturbed(n):
+            out = terms(n)
+            if n >= k:
+                out[k] += 1
+            return out
+
+        monkeypatch.setattr(combinatorics, "_pair_collision_terms", perturbed)
+        oracle._census.cache_clear()
+        oracle_counts(k - 1)
+        message = rf"image-distinct count failed at n={k}:"
+        with pytest.raises(ConsistencyError, match=message):
+            oracle_counts(k)
 
     @pytest.mark.slow
     def test_frozen_census_n7(self):
