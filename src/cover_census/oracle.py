@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import perm
 from operator import eq, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -290,10 +291,9 @@ class OracleCensus(NamedTuple):
     of [2n]: ``separated`` have all twin pairs split, ``image_distinct``
     have pairwise distinct folded blocks, and ``collision_histogram`` bins
     the separated partitions by their folded-image collision count.
-    ``fiber_mismatches`` lists each cover whose preimage count is not
-    2^(n - repeated blocks) as (cover, expected, actual); ``line_graphs``
-    and ``line_classes`` count the restricted covers' distinct line graphs
-    and their triangle/star exchange classes.
+    ``line_graphs`` and ``line_classes`` count the restricted covers'
+    distinct line graphs and their triangle/star exchange classes.  A
+    record exists only once every identity of the scan has held.
     """
 
     n: int
@@ -307,7 +307,6 @@ class OracleCensus(NamedTuple):
     merged_twin_histogram: tuple[int, ...]
     collision_histogram: tuple[int, ...]
     bell_2n: int
-    fiber_mismatches: tuple[tuple[TwoCover, int, int], ...]
     line_graphs: int
     line_classes: int
 
@@ -317,10 +316,16 @@ def _census(n: int) -> OracleCensus:
     """Scan [2n] once and classify each distinct cover once."""
     twin_histogram, image_distinct, fibers = _full_scan(n)
     total = bell(2 * n)
-    if sum(twin_histogram) != total:
-        raise ConsistencyError(
-            f"twin histogram sums to {sum(twin_histogram)}, expected Bell({2 * n}) = {total}"
-        )
+    # Every factorial moment of the merged-twin count; r = 0 is the Bell sum.  The
+    # separated count is their alternating sum, so it needs no check of its own.
+    for r in range(n + 1):
+        moment = sum(count * perm(x, r) for x, count in enumerate(twin_histogram))
+        expected = perm(n, r) * bell(2 * n - r)
+        if moment != expected:
+            raise ConsistencyError(
+                f"merged-twin factorial moment failed at n={n}: the scan gives"
+                f" {moment} at r={r} but (n)_r * Bell({2 * n - r}) = {expected}"
+            )
     formula = image_distinct_partitions(n)
     if image_distinct != formula:
         raise ConsistencyError(
@@ -334,7 +339,6 @@ def _census(n: int) -> OracleCensus:
     ]
     collision_histogram = [0] * (n + 1)
     t = u = v = 0
-    mismatches = []
     graphs = set()
     classes = set()
     for key, preimages in fibers.items():
@@ -342,8 +346,10 @@ def _census(n: int) -> OracleCensus:
         collision_histogram[duplicates] += preimages
         t += duplicates == 0
         if preimages != 1 << (n - duplicates):
-            cover = TwoCover.from_blocks(n, [_mask_block(mask, n) for mask in key])
-            mismatches.append((cover, 1 << (n - duplicates), preimages))
+            raise ConsistencyError(
+                f"fiber size failed at n={n}: cover {[_mask_block(m, n) for m in key]}"
+                f" has {preimages} separated preimages, not 2^(n - {duplicates})"
+            )
         # Restricted covers are those whose blocks' edge sets are disjoint:
         # their union, the line graph, then equals their sum.
         block_edges = [edge_sets[mask] for mask in key]
@@ -392,7 +398,6 @@ def _census(n: int) -> OracleCensus:
         merged_twin_histogram=twin_histogram,
         collision_histogram=tuple(collision_histogram),
         bell_2n=total,
-        fiber_mismatches=tuple(mismatches),
         line_graphs=len(graphs),
         line_classes=len(classes),
     )
@@ -401,19 +406,19 @@ def _census(n: int) -> OracleCensus:
 def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
     """Count 2-covers of [n] by exhausting partitions of [2n].
 
-    Verifies the multiplicity structure on the way: the twin histogram
-    must sum to Bell(2n), the image-distinct count must equal its
-    Bell-number formula, and separated partitions with d collisions
-    overcount covers with d duplicate pairs by 2^(n - d), giving two more
-    exact identities that must hold before returning.  The record is computed
-    once per n and shared by every later call.
+    Raises ConsistencyError at the first identity of the scan that fails:
+    each factorial moment of the merged-twin histogram is (n)_r * Bell(2n - r),
+    image-distinct equals its Bell-number formula, each cover with d repeated
+    blocks has 2^(n - d) separated preimages, and hence s * 2^n and t * 2^n
+    decompose the collision histogram.  The record is computed once per n
+    and shared by every later call.
     """
     _check_oracle_size(n, limit)
     return _census(n)
 
 
 class FiberCheck(NamedTuple):
-    """Result of verifying preimage counts of the folding map."""
+    """Preimage-count result, kept for callers of ``covers`` and ``ok``."""
 
     covers: int
     mismatches: tuple[tuple[TwoCover, int, int], ...]
@@ -424,9 +429,9 @@ class FiberCheck(NamedTuple):
 
 
 def fiber_check(n: int, *, limit: int | None = None) -> FiberCheck:
-    """Check every cover's preimage count against 2^(n - duplicate pairs)."""
-    census = oracle_counts(n, limit=limit)
-    return FiberCheck(covers=census.s, mismatches=census.fiber_mismatches)
+    """Count the covers; oracle_counts raises first on a cover without
+    2^(n - duplicate pairs) preimages, so ``mismatches`` is always ()."""
+    return FiberCheck(covers=oracle_counts(n, limit=limit).s, mismatches=())
 
 
 def oracle_line_count(n: int, *, limit: int | None = None) -> int:

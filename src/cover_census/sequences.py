@@ -260,6 +260,25 @@ def _separated_route(t: Sequence[int]) -> list[int]:
     ]
 
 
+def collision_histogram_route(t: Sequence[int]) -> list[int]:
+    """Bin the separated partitions of [2n], n = len(t) - 1, by repeated blocks.
+
+    With the split of _separated_route, a cover with d repeated blocks is a
+    proper cover of k elements beside a doubled set partition of the other
+    n - k into d blocks, so
+
+        hist_d = 2^(n - d) * sum_k C(n, k) * t_k * S(n - k, d).
+
+    Summed over d this is _separated_route(t)[n].  It is evaluated at one
+    n only: at every n up to full_table's size it would cost O(N^3).
+    """
+    n = len(t) - 1
+    return [
+        sum(comb(n, k) * t[k] * stirling2(n - k, d) for k in range(n + 1)) << (n - d)
+        for d in range(n + 1)
+    ]
+
+
 def full_table(max_n: int) -> SequenceTable:
     """Compute the five sequences to ``max_n`` with redundant verification.
 

@@ -18,10 +18,9 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census import asymptotics, cli
+from cover_census import asymptotics, cli, oracle
 from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
 from cover_census.cli import main
-from cover_census.oracle import TwoCover
 from cover_census.sampler import Estimate
 from cover_census.sequences import full_table
 
@@ -249,6 +248,42 @@ class TestTableCommand:
         assert result.returncode == 2
 
 
+def perturb_scan(monkeypatch, change):
+    """Let ``change`` edit the oracle scan's histogram list and fiber map."""
+    scan = oracle._full_scan
+
+    def perturbed(n):
+        histogram, image_distinct, fibers = scan(n)
+        histogram = list(histogram)
+        change(histogram, fibers)
+        return tuple(histogram), image_distinct, fibers
+
+    monkeypatch.setattr(oracle, "_full_scan", perturbed)
+
+
+def fiber_off_by_one(histogram, fibers):
+    fibers[next(iter(fibers))] += 1
+
+
+def twin_moved_up_a_bin(histogram, fibers):
+    # The Bell sum still holds; the first factorial moment does not.
+    histogram[1] -= 1
+    histogram[2] += 1
+
+
+def perturb_table(monkeypatch, k, **steps):
+    """Add ``steps`` to the fields of row k of every table the CLI builds."""
+
+    def perturbed(max_n):
+        table = full_table(max_n)
+        rows = list(table.rows)
+        row = rows[k]
+        rows[k] = row._replace(**{f: getattr(row, f) + d for f, d in steps.items()})
+        return table._replace(rows=tuple(rows))
+
+    monkeypatch.setattr(cli, "full_table", perturbed)
+
+
 class TestOracleCommand:
     def test_passes_at_small_n(self, capsys):
         assert main(["oracle", "--n", "2"]) == 0
@@ -266,20 +301,62 @@ class TestOracleCommand:
         assert captured.out == GOLDEN_ORACLE_4
         assert captured.err == ""
 
-    def test_fiber_mismatch_fails(self, capsys, monkeypatch):
-        census = cli.oracle_counts(3)
-        cover = TwoCover.from_blocks(3, [(1, 2, 3), (1, 2, 3)])
-        broken = census._replace(
-            fiber_mismatches=census.fiber_mismatches + ((cover, 4, 3),)
-        )
-        monkeypatch.setattr(cli, "oracle_counts", lambda n, limit: broken)
+    @pytest.fixture
+    def fresh_census(self):
+        oracle._census.cache_clear()
+        yield
+        oracle._census.cache_clear()
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            pytest.param(
+                lambda mp: perturb_scan(mp, fiber_off_by_one),
+                "fiber size failed at n=3: cover ",
+                id="fiber-count",
+            ),
+            pytest.param(
+                lambda mp: perturb_scan(mp, twin_moved_up_a_bin),
+                "merged-twin factorial moment failed at n=3: the scan gives 157"
+                " at r=1 but (n)_r * Bell(5) = 156",
+                id="twin-histogram",
+            ),
+            pytest.param(
+                lambda mp: perturb_table(mp, 3, l=1),
+                "sequence table agreement failed at n=3: ",
+                id="table-row-l",
+            ),
+            pytest.param(
+                lambda mp: mp.setattr(cli, "image_collision_bound", lambda n: 0),
+                "collision probability bound failed at n=3: ",
+                id="collision-bound",
+            ),
+        ],
+    )
+    def test_failure_is_one_stderr_line(
+        self, capsys, monkeypatch, fresh_census, perturb, message
+    ):
+        perturb(monkeypatch)
         assert main(["oracle", "--n", "3"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.endswith("FAIL")] == [
-            "check fiber sizes 2^(n - duplicates): FAIL",
-            "result: FAIL",
-        ]
-        assert lines[-1] == "result: FAIL"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"FAIL: {message}")
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_perturbed_t_fails_on_the_histogram(self, capsys, monkeypatch, k):
+        # Row 3 is untouched, so the table agreement holds; t_k enters every
+        # bin d >= 1 of the histogram formula at n = 3.
+        perturb_table(monkeypatch, k, t=1)
+        assert main(["oracle", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "FAIL: collision histogram failed at n=3: 16 separated partitions"
+            " have d=1 repeated images"
+        )
+        assert captured.err.count("\n") == 1
 
     def test_limit_enforced(self, capsys):
         assert main(["oracle", "--n", "7"]) == 2

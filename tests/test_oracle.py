@@ -29,7 +29,7 @@ from cover_census.oracle import (
     oracle_line_class_count,
     oracle_line_count,
 )
-from cover_census.sequences import full_table
+from cover_census.sequences import collision_histogram_route, full_table
 
 # Distinct line-graph images stay strictly below the exchange-class count
 # from n = 4 on; both sequences were frozen from exhaustive runs.
@@ -351,9 +351,12 @@ class TestOracleCensus:
             54323200, 10276736, 1074752, 84896, 6720, 644, 42, 1,
         )
         assert census.s == 624889  # the number of keys in the scan's fiber map
-        row = full_table(7).row(7)
+        table = full_table(7)
+        row = table.row(7)
         assert (census.s, census.t, census.u, census.v) == (row.s, row.t, row.u, row.v)
         assert (row.s, row.t, row.u, row.v) == (624889, 424400, 233238, 163356)
+        t = [r.t for r in table.rows]
+        assert collision_histogram_route(t) == list(census.collision_histogram)
         assert fiber_check(7, limit=7).ok
         assert oracle_line_class_count(7, limit=7) == 230858
         assert oracle_line_count(7, limit=7) == 228443

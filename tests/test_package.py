@@ -123,3 +123,35 @@ def test_unloaded_private_check_sees_one():
 )
 def test_no_unloaded_private_names(path):
     assert unloaded_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source):
+    """Submodules of cover_census that a module imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [f"cover_census.{node.module or a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(
+            name.split(".")[1] for name in names if name.startswith("cover_census.")
+        )
+    return found
+
+
+def test_package_import_check_sees_each_form():
+    source = (
+        "import json\nimport cover_census.series\nfrom . import asymptotics\n"
+        "from .errors import ConsistencyError\nfrom cover_census import sequences\n"
+    )
+    assert package_imports(source) == {"series", "asymptotics", "errors", "sequences"}
+
+
+def test_oracle_shares_no_code_with_the_formula_route():
+    # The exhaustive route checks the formula pipeline, so it must not use it.
+    source = (ROOT / "src/cover_census/oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source).isdisjoint({"sequences", "series", "asymptotics"})

@@ -10,12 +10,13 @@ import pytest
 from cover_census import sequences
 from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, stirling2
 from cover_census.errors import ConsistencyError
-from cover_census.oracle import classify_partition, enumerate_partitions
+from cover_census.oracle import classify_partition, enumerate_partitions, oracle_counts
 from cover_census.sequences import (
     SequenceTable,
     TableRow,
     binomial_transform,
     block_count_series,
+    collision_histogram_route,
     full_table,
     line_transform,
     restricted_proper_sequence,
@@ -165,6 +166,20 @@ class TestFullTable:
     def test_bell_cap_respected(self):
         with pytest.raises(ValueError, match="above the cap"):
             full_table(DEFAULT_BELL_CAP // 2 + 1)
+
+
+class TestCollisionHistogramRoute:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_oracle(self, table6, n):
+        t = _column(table6, "t")[: n + 1]
+        histogram = list(oracle_counts(n).collision_histogram)
+        assert collision_histogram_route(t) == histogram
+
+    def test_sums_to_separated_route(self):
+        t = _column(full_table(24), "t")
+        separated = sequences._separated_route(t)
+        for n in range(25):
+            assert sum(collision_histogram_route(t[: n + 1])) == separated[n]
 
 
 class TestSequenceConsistencyMachinery:
