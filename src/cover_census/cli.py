@@ -56,9 +56,9 @@ REPORT_FIELDS = ReportRow._fields
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
-# A draw costs 0.4-0.9 us per element of [2n] at n = 100..512 on the same
-# host (0.3-0.35 us at n = 6), so a sample run drawing more elements than
-# this at large n takes a minute or more.
+# A draw costs 0.34-0.36 us per element of [2n] at n = 100 and 0.65-0.8 us
+# at n = 512 on the same host (0.26-0.28 us at n = 6), so a sample run
+# drawing more elements than this at large n takes a minute or more.
 _ANNOUNCE_ABOVE_ELEMENTS = 10**8
 
 

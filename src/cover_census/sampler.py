@@ -10,7 +10,10 @@ step.  Among m remaining elements the block holding the smallest one has
 size k for C(m-1, k-1) B_{m-k} ranks; within that range the rank splits
 into the colex rank of the block's other k-1 members among the m-1 other
 elements and the rank of the partition of the m-k elements left over.  The
-decode is a bijection from [0, B_size) onto the partitions of [size].
+colex rank is sum_j C(c_j, j) over the members' positions c_{k-1} > ... > c_1;
+each c_j for j >= 2 is bisected from a cached binomial row, and c_1 is what
+is left, since C(c_1, 1) = c_1.  The decode is a bijection from [0, B_size)
+onto the partitions of [size].
 
 Once at most _TAIL = 7 elements remain, the rest is read from a table:
 ``_tails[m][rank]`` is the growth string of the partition of m elements at
@@ -76,7 +79,8 @@ class Estimate(NamedTuple):
 # Prefix sums of the block-size weights C(m-1, k-1) B_{m-k}, k = 1, 2, ...,
 # for m remaining elements.  Each list grows only as far as a draw has needed,
 # which keeps the cache small: the full lists up to m = 200 would hold about
-# 20k big integers.
+# 20k big integers.  _unrank bisects a list in place while the rank lies below
+# its last entry; _block_size is the one place that grows it.
 _cumulative: dict[int, list[int]] = {}
 
 
@@ -95,21 +99,21 @@ def _block_size(m: int, draw: int) -> int:
     return bisect_right(cum, draw) + 1
 
 
-# Binomial rows for the subset decode: _binomials[j][c] = C(c, j).  Like
-# _cumulative they grow only as a draw needs them, up to the largest block
-# drawn and to length m - 1; a row is never shorter than the row above it.
+# Binomial rows for the subset decode: _binomials[j][c] = C(c, j) for j >= 2.
+# Rows 0 and 1 stay empty, since C(c, 1) = c needs no table.  Like
+# _cumulative the rows grow only as a draw needs them, up to the largest block
+# drawn and to length m - 1; from row 2 on, a row is never shorter than the
+# row above it.
 _binomials: list[list[int]] = [[]]
 
 
-def _binomial_rows(top: int, length: int) -> list[list[int]]:
-    """Return the rows, with rows 1..top holding at least ``length`` entries."""
-    if len(_binomials) <= top or len(_binomials[top]) < length:
-        while len(_binomials) <= top:
-            _binomials.append([])
-        for j in range(1, top + 1):
-            row = _binomials[j]
-            row.extend(math.comb(c, j) for c in range(len(row), length))
-    return _binomials
+def _binomial_rows(top: int, length: int) -> None:
+    """Extend rows 2..top to at least ``length`` entries."""
+    while len(_binomials) <= top:
+        _binomials.append([])
+    for j in range(2, top + 1):
+        row = _binomials[j]
+        row.extend(math.comb(c, j) for c in range(len(row), length))
 
 
 _TAIL = 7
@@ -122,24 +126,31 @@ def _unrank(size: int, rank: int) -> tuple[int, ...]:
     if not size:
         return ()
     bells = _bell_values  # filled to size: the rank came from bell(size)
+    binomials = _binomials
     labels = [0] * size
     remaining = list(range(size))
     label = 0
     m = size
     while True:
-        k = _block_size(m, rank)
+        cum = _cumulative.get(m)
+        if cum is None or rank >= cum[-1]:
+            k = _block_size(m, rank)
+            cum = _cumulative[m]
+        else:
+            k = bisect_right(cum, rank) + 1
         labels[remaining.pop(0)] = label
         if k > 1:
-            rank -= _cumulative[m][k - 2]
+            rank -= cum[k - 2]
             subset, rank = divmod(rank, bells[m - k])
-            # Colex unranking: the members sit at positions c_{k-1} > ... > c_1
-            # of the m - 1 others, with subset = sum_j C(c_j, j).
-            rows = _binomial_rows(k - 1, m - 1)
-            for j in range(k - 1, 0, -1):
-                row = rows[j]
+            # Colex unranking of the other k - 1 members, c_1 read directly.
+            if k > 2 and (len(binomials) < k or len(binomials[k - 1]) < m - 1):
+                _binomial_rows(k - 1, m - 1)
+            for j in range(k - 1, 1, -1):
+                row = binomials[j]
                 c = bisect_right(row, subset) - 1
                 subset -= row[c]
                 labels[remaining.pop(c)] = label
+            labels[remaining.pop(subset)] = label
         label += 1
         m -= k
         if m <= _TAIL:

@@ -50,9 +50,11 @@ def block_count_series(max_n: int) -> list[list[Fraction]]:
 
         [x^i y^j] = sum_b sum_m (-1)^(a+b) C(C(m, 2), i - b) / (a! 2^b b! m!)
 
-    over b <= i and block counts m with a = j - m - 2b >= 0.  No step
-    shares the derangement collapse of restricted_proper_sequence, so the
-    two routes check each other.
+    over b <= i and block counts m with a = j - m - 2b >= 0.  Over j! each
+    weight is the integer j! / (a! 2^b b! m!) = C(j, m) C(j - m, a) (2b - 1)!!,
+    so a cell is summed in integers and divided once.  No step shares the
+    derangement collapse of restricted_proper_sequence, so the two routes
+    check each other.
 
     The y-truncation at 2 * max_n is exact rather than an approximation:
     blocks are nonempty and each of the n elements lies in exactly two of
@@ -61,19 +63,25 @@ def block_count_series(max_n: int) -> list[list[Fraction]]:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
+    double_factorials = [1]  # (2b - 1)!! for b = 0..max_n
+    for b in range(1, max_n + 1):
+        double_factorials.append(double_factorials[-1] * (2 * b - 1))
     grid = []
     for i in range(max_n + 1):
         row = []
         for j in range(2 * max_n + 1):
-            total = Fraction(0)
+            total = 0
             for b in range(min(i, j // 2) + 1):
                 for m in range(j - 2 * b + 1):
                     a = j - m - 2 * b
-                    total += Fraction(
-                        (-1) ** (a + b) * comb(m * (m - 1) // 2, i - b),
-                        factorial(a) * 2**b * factorial(b) * factorial(m),
+                    total += (
+                        (-1) ** (a + b)
+                        * comb(m * (m - 1) // 2, i - b)
+                        * comb(j, m)
+                        * comb(j - m, a)
+                        * double_factorials[b]
                     )
-            row.append(total)
+            row.append(Fraction(total, factorial(j)))
         grid.append(row)
     return grid
 

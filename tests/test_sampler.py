@@ -129,6 +129,34 @@ class TestRankDecode:
             rng.rank = rank
             assert sample_partition(size, rng) == _reference_decode(size, rank)
 
+    @pytest.mark.parametrize("size", [12, 200])
+    def test_first_split_boundaries_from_cold_caches(self, monkeypatch, size):
+        # Both sides of every boundary of the first block size, decoded from
+        # empty caches in shuffled and in sorted order, so that the decode
+        # meets each cached list both short and long enough.
+        cumulative = list(
+            accumulate(math.comb(size - 1, k) * bell(size - 1 - k) for k in range(size))
+        )
+        ranks = {0, cumulative[-1] - 1}
+        for boundary in cumulative[:-1]:
+            ranks |= {boundary - 1, boundary}
+        expected = {rank: _reference_decode(size, rank) for rank in ranks}
+        shuffled = sorted(ranks)
+        random.Random(SEED).shuffle(shuffled)
+        rng = _FixedRank(size)
+        for order in (shuffled, sorted(ranks)):
+            monkeypatch.setattr(sampler, "_cumulative", {})
+            monkeypatch.setattr(sampler, "_binomials", [])
+            monkeypatch.setattr(sampler, "_tails", [])
+            for rank in order:
+                rng.rank = rank
+                draw = sample_partition(size, rng)
+                assert draw == expected[rank]
+                # The prefix sums cover the first block drawn: only
+                # _block_size grows them, and the decode never reads past.
+                assert len(sampler._cumulative[size]) >= draw.count(0)
+            assert sampler._cumulative[size] == cumulative
+
 
 def _reference_decode(size, rank):
     """Reference: split the first block by a linear weight scan, then take
