@@ -56,9 +56,11 @@ REPORT_FIELDS = ReportRow._fields
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
-# A draw costs 0.34-0.36 us per element of [2n] at n = 100 and 0.65-0.8 us
-# at n = 512 on the same host (0.26-0.28 us at n = 6), so a sample run
-# drawing more elements than this at large n takes a minute or more.
+# A full draw costs 0.41-0.54 us per element of [2n] at n = 100 and
+# 0.71-1.03 us at n = 512 on a 2-core host (0.31-0.38 us at n = 6), so a
+# sample run drawing more elements than this at large n takes a minute or
+# more.  A p-x0 draw stops at its first merged twin pair and costs about
+# half that at n >= 100, so the threshold is conservative for it.
 _ANNOUNCE_ABOVE_ELEMENTS = 10**8
 
 

@@ -15,12 +15,18 @@ from cover_census import sampler
 from cover_census.asymptotics import merged_twin_moment, separation_probability
 from cover_census.cli import main
 from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
-from cover_census.oracle import SetPartition, enumerate_partitions, oracle_counts
+from cover_census.oracle import (
+    SetPartition,
+    enumerate_partitions,
+    merged_twin_count,
+    oracle_counts,
+)
 from cover_census.sampler import (
     Estimate,
     SamplerConfig,
     _block_size,
     _mix_seed,
+    _unrank,
     estimate_collision_probability,
     estimate_separation_probability,
     estimate_twin_moment,
@@ -179,6 +185,88 @@ def _reference_decode(size, rank):
             labels[remaining[1 + c]] = label
         label += 1
     return tuple(labels)
+
+
+def _merged_above_tail(rgs, n):
+    """Reference: whether a block split off above the tail holds a twin pair.
+
+    The decode splits blocks off in label order until at most _TAIL
+    elements are left, and always splits at least one.
+    """
+    sizes = [rgs.count(label) for label in range(max(rgs) + 1)]
+    left = len(rgs)
+    split = 0
+    while split == 0 or left > sampler._TAIL:
+        left -= sizes[split]
+        split += 1
+    return any(rgs[j] == rgs[j + n] < split for j in range(n))
+
+
+class TestTwinExit:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_rank_gives_the_full_verdict(self, n):
+        size = 2 * n
+        sample_partition(0, random.Random(0))  # builds the tail table
+        separated = 0
+        for rank in range(bell(size)):
+            full = _unrank(size, rank)
+            early = _unrank(size, rank, n)
+            assert early is None or early == full
+            verdict = early is not None and merged_twin_count(early, n) == 0
+            assert verdict == (merged_twin_count(full, n) == 0)
+            separated += verdict
+        assert separated == separation_probability(n) * bell(size)
+
+    @pytest.mark.parametrize("size", [12, 16, 40, 200])
+    def test_seeded_draws_from_cold_caches(self, monkeypatch, size):
+        n = size // 2
+        seeded = random.Random(SEED + size)
+        ranks = [0, bell(size) - 1]
+        ranks += [seeded.randrange(bell(size)) for _ in range(300)]
+        monkeypatch.setattr(sampler, "_cumulative", {})
+        monkeypatch.setattr(sampler, "_binomials", [])
+        monkeypatch.setattr(sampler, "_tails", [])
+        rng = _FixedRank(size)
+        early = []
+        for rank in ranks:
+            rng.rank = rank
+            early.append(sample_partition(size, rng, twins=n))
+        for rank, draw in zip(ranks, early):
+            full = _reference_decode(size, rank)
+            if _merged_above_tail(full, n):
+                assert draw is None
+            else:
+                assert draw == full
+        # Both outcomes occur at every size tested.
+        assert None in early
+        assert any(draw is not None for draw in early)
+
+    @pytest.mark.parametrize("twins", [-1, 5, 7])
+    def test_twins_must_halve_the_size(self, twins):
+        with pytest.raises(ValueError, match="twins"):
+            sample_partition(12, random.Random(0), twins=twins)
+
+    @pytest.mark.parametrize("n, trials", [(6, 2000), (100, 200)])
+    def test_estimator_draws_once_per_trial(self, monkeypatch, n, trials):
+        # The benchmark's replay times each draw through a wrapper around
+        # the module attribute and counts one call per trial.
+        calls = []
+        draw = sampler.sample_partition
+
+        def counted_draw(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "sample_partition", counted_draw)
+        config = SamplerConfig(trials=trials, seed=SEED)
+        result = estimate_separation_probability(n, config)
+        assert len(calls) == trials
+        # The same stream of full draws gives the same count.
+        rng = random.Random(_mix_seed(SEED, 0))
+        hits = sum(
+            merged_twin_count(draw(2 * n, rng), n) == 0 for _ in range(trials)
+        )
+        assert result.estimate == hits / trials
 
 
 class TestTailTable:
