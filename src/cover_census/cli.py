@@ -56,8 +56,8 @@ REPORT_FIELDS = ReportRow._fields
 # N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
-# A full draw costs 0.41-0.54 us per element of [2n] at n = 100 and
-# 0.71-1.03 us at n = 512 on a 2-core host (0.31-0.38 us at n = 6), so a
+# A full draw costs 0.38-0.48 us per element of [2n] at n = 100 and
+# 0.64-1.09 us at n = 512 on a 2-core host (0.34-0.43 us at n = 6), so a
 # sample run drawing more elements than this at large n takes a minute or
 # more.  A p-x0 draw stops at its first merged twin pair and costs about
 # half that at n >= 100, so the threshold is conservative for it.

@@ -21,12 +21,13 @@ Once at most _TAIL = 7 elements remain, the rest is read from a table:
 with the same decode, ``_tails[m]`` from ``_tails[m - k]``.
 
 ``p-x0`` asks only whether some twin pair {j, j + n} of [2n] shares a
-block, so its draws stop early: with ``twins = n`` the decode returns None
-at the first element it places in the block of its twin.  At n = 100 that
-happens in about 86% of draws, on average once 30% of the elements are
-placed.  The rank is drawn whole before the decode starts, so the random
-stream is the same with or without ``twins``, and a draw that gets through
-is the full growth string, judged by ``merged_twin_count`` as before.
+block, so its draws stop early: with ``stop_at_twin`` the decode returns
+None at the first element it places in the block of its twin.  At n = 100
+that happens in about 86% of draws, on average once 30% of the elements
+are placed.  The rank is drawn whole before the decode starts, so the
+random stream is the same with or without ``stop_at_twin``, and a draw
+that gets through is the full growth string, judged by
+``merged_twin_count`` as before.
 """
 
 from __future__ import annotations
@@ -128,17 +129,22 @@ _TAIL = 7
 _tails: list[list[tuple[int, ...]]] = []
 
 
-def _unrank(size: int, rank: int, twins: int = 0) -> tuple[int, ...] | None:
+def _unrank(
+    size: int, rank: int, stop_at_twin: bool = False
+) -> tuple[int, ...] | None:
     """Decode a rank in [0, B_size): split off blocks, at least one, until
     at most _TAIL elements remain, then read their labels from _tails.
 
-    With ``twins = size // 2 > 0``, return None at the first element placed
-    in the block of its twin.  Labels start at -1, so an unplaced twin never
-    matches, and ``labels[element - twins]`` is the twin of either half,
-    since a negative index counts back from ``size = 2 * twins``.
+    With ``stop_at_twin``, return None at the first element placed in the
+    block of its twin, ``half = size // 2`` away.  ``labels[element - half]``
+    is the twin of either half, since a negative index counts back from
+    ``size``.  Labels start at -1, so an unplaced twin never matches; without
+    ``stop_at_twin``, half is 0 and the check reads the element's own label,
+    still -1, so the same loop decodes the full draw.
     """
     if not size:
         return ()
+    half = size // 2 if stop_at_twin else 0
     bells = _bell_values  # filled to size: the rank came from bell(size)
     binomials = _binomials
     labels = [-1] * size
@@ -159,28 +165,17 @@ def _unrank(size: int, rank: int, twins: int = 0) -> tuple[int, ...] | None:
             # Colex unranking of the other k - 1 members, c_1 read directly.
             if k > 2 and (len(binomials) < k or len(binomials[k - 1]) < m - 1):
                 _binomial_rows(k - 1, m - 1)
-            if not twins:
-                for j in range(k - 1, 1, -1):
-                    row = binomials[j]
-                    c = bisect_right(row, subset) - 1
-                    subset -= row[c]
-                    labels[remaining.pop(c)] = label
-                labels[remaining.pop(subset)] = label
-            else:
-                # The same placements, each checked against its twin; the
-                # loop is kept apart so that a full draw pays no check.
-                for j in range(k - 1, 1, -1):
-                    row = binomials[j]
-                    c = bisect_right(row, subset) - 1
-                    subset -= row[c]
-                    element = remaining.pop(c)
-                    if labels[element - twins] == label:
-                        return None
-                    labels[element] = label
-                element = remaining.pop(subset)
-                if labels[element - twins] == label:
+            for row in binomials[k - 1 : 1 : -1]:
+                c = bisect_right(row, subset) - 1
+                subset -= row[c]
+                element = remaining.pop(c)
+                if labels[element - half] == label:
                     return None
                 labels[element] = label
+            element = remaining.pop(subset)
+            if labels[element - half] == label:
+                return None
+            labels[element] = label
         label += 1
         m -= k
         if m <= _TAIL:
@@ -191,7 +186,7 @@ def _unrank(size: int, rank: int, twins: int = 0) -> tuple[int, ...] | None:
 
 
 def sample_partition(
-    size: int, rng: random.Random, twins: int = 0
+    size: int, rng: random.Random, stop_at_twin: bool = False
 ) -> tuple[int, ...] | None:
     """Draw one exactly-uniform set partition of [size] as its growth string.
 
@@ -200,7 +195,7 @@ def sample_partition(
     the block label of element i + 1, labels in order of first use, as in
     ``SetPartition.rgs``.
 
-    With ``twins = n > 0`` and ``size = 2n``, the decode stops and returns
+    With ``stop_at_twin`` and ``size = 2n``, the decode stops and returns
     None once a block above the tail holds a twin pair {j, j + n}; a draw
     that gets through returns its growth string, which may still merge a
     pair inside the tail.  The rank is drawn first either way, so the
@@ -208,32 +203,31 @@ def sample_partition(
     """
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    if twins and size != 2 * twins:
-        raise ValueError(f"twins must be 0 or size / 2, got {twins} for size {size}")
     rank = rng.randrange(bell(size))  # bell rejects a size above its cap
     if not _tails:
         for m in range(_TAIL + 1):
             _tails.append([_unrank(m, r) for r in range(bell(m))])
-    return _unrank(size, rank, twins)
+    return _unrank(size, rank, stop_at_twin)
 
 
 def _run_trials(
     n: int,
     config: SamplerConfig,
     value: Callable[[Sequence[int] | None], int],
-    twins: int = 0,
+    stop_at_twin: bool = False,
 ) -> tuple[int, int]:
     """Sum the statistic and its square over all trials, exactly.
 
     Each trial is one call to the module attribute ``sample_partition``,
-    with ``twins`` passed on, so a wrapper around that name sees every draw.
+    with ``stop_at_twin`` passed on, so a wrapper around that name sees
+    every draw.
     """
     size = 2 * n
     rng = random.Random(_mix_seed(config.seed, 0))
     total = 0
     total_squares = 0
     for _ in range(config.trials):
-        x = value(sample_partition(size, rng, twins))
+        x = value(sample_partition(size, rng, stop_at_twin))
         total += x
         total_squares += x * x
     return total, total_squares
@@ -244,9 +238,9 @@ def _indicator_estimate(
     config: SamplerConfig,
     statistic: str,
     event: Callable[[Sequence[int] | None], bool],
-    twins: int = 0,
+    stop_at_twin: bool = False,
 ) -> Estimate:
-    hits, _ = _run_trials(n, config, event, twins)  # a bool sums as 0 or 1
+    hits, _ = _run_trials(n, config, event, stop_at_twin)  # a bool sums as 0 or 1
     p = hits / config.trials
     return Estimate(
         n=n,
@@ -269,7 +263,7 @@ def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
         config,
         "p-x0",
         lambda rgs: rgs is not None and merged_twin_count(rgs, n) == 0,
-        twins=n,
+        stop_at_twin=True,
     )
 
 

@@ -210,7 +210,7 @@ class TestTwinExit:
         separated = 0
         for rank in range(bell(size)):
             full = _unrank(size, rank)
-            early = _unrank(size, rank, n)
+            early = _unrank(size, rank, stop_at_twin=True)
             assert early is None or early == full
             verdict = early is not None and merged_twin_count(early, n) == 0
             assert verdict == (merged_twin_count(full, n) == 0)
@@ -230,7 +230,7 @@ class TestTwinExit:
         early = []
         for rank in ranks:
             rng.rank = rank
-            early.append(sample_partition(size, rng, twins=n))
+            early.append(sample_partition(size, rng, stop_at_twin=True))
         for rank, draw in zip(ranks, early):
             full = _reference_decode(size, rank)
             if _merged_above_tail(full, n):
@@ -240,11 +240,6 @@ class TestTwinExit:
         # Both outcomes occur at every size tested.
         assert None in early
         assert any(draw is not None for draw in early)
-
-    @pytest.mark.parametrize("twins", [-1, 5, 7])
-    def test_twins_must_halve_the_size(self, twins):
-        with pytest.raises(ValueError, match="twins"):
-            sample_partition(12, random.Random(0), twins=twins)
 
     @pytest.mark.parametrize("n, trials", [(6, 2000), (100, 200)])
     def test_estimator_draws_once_per_trial(self, monkeypatch, n, trials):
