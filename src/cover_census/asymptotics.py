@@ -2,7 +2,10 @@
 
 The estimators live in log space throughout: Bell numbers at the sizes of
 interest overflow any float, so exact integers are converted to
-high-precision logarithms and compared there.  The probabilistic layer
+high-precision logarithms and compared there.  Beside the paper's two
+estimates, u, v and l are compared with the Lambert-W shape
+B_{2n} 2^{-n} sqrt(W/2n) exp(-(W/2)^2), W = W(2n), whose leading-term
+expansion is the paper's restricted estimate.  The probabilistic layer
 (factorial moments, separation probability, collision bound) stays in
 exact rational arithmetic.
 """
@@ -121,24 +124,17 @@ def log_restricted_estimate(n: int, log_bell_2n: float) -> float:
     return log_bell_2n - n * _LOG2 - 0.5 * math.log(n) - half_log * half_log
 
 
-def saddle_block_count(n: int) -> int:
-    """Nearest integer (half rounded up) to 2n / W(2n), the saddle point.
+def log_restricted_w(n: int, log_bell_2n: float) -> float:
+    """Log of the Lambert-W shape for restricted covers and line graphs.
 
-    This is where the dominant number of partition blocks sits when B_{2n}
-    is written as a sum over block counts.
+    The linear-space form is B_{2n} 2^{-n} sqrt(W / 2n) exp(-(W / 2)^2)
+    with W = W(2n); the paper's restricted estimate is its leading-term
+    expansion, with log(2n / log n) in place of W.
     """
     if n < 1:
-        raise ValueError(f"saddle_block_count() needs n >= 1, got {n}")
-    return math.floor(2.0 * n / lambert_w(2.0 * n) + 0.5)
-
-
-def log_saddle_estimate(n: int, log_bell_2n: float) -> float:
-    """Log of the saddle-point form B_{2n} 2^{-n} exp(-n/m0 - n^2/m0^2)."""
-    if n < 1:
-        raise ValueError(f"log_saddle_estimate() needs n >= 1, got {n}")
-    m0 = saddle_block_count(n)
-    ratio = n / m0
-    return log_bell_2n - n * _LOG2 - ratio - ratio * ratio
+        raise ValueError(f"log_restricted_w() needs n >= 1, got {n}")
+    w = lambert_w(2.0 * n)
+    return log_bell_2n - n * _LOG2 + 0.5 * math.log(w / (2.0 * n)) - 0.25 * w * w
 
 
 def merged_twin_moment(n: int, r: int) -> Fraction:
@@ -221,8 +217,8 @@ class ReportRow(NamedTuple):
     The ``ratio_*`` columns are linear-space quotients exact/estimate;
     ``ratio_s`` and ``ratio_t`` compare against the cover estimate,
     ``ratio_u``/``ratio_v``/``ratio_l`` against the restricted estimate,
-    and ``ratio_v_saddle`` against the saddle form.  They are None when n
-    is beyond the exact table.
+    and ``ratio_u_w``/``ratio_v_w``/``ratio_l_w`` against its Lambert-W
+    shape ``est_uvl_w``.  They are None when n is beyond the exact table.
     """
 
     n: int
@@ -230,8 +226,7 @@ class ReportRow(NamedTuple):
     log_bell_2n: float
     est_st: float
     est_uvl: float
-    est_saddle: float
-    saddle_blocks: int
+    est_uvl_w: float
     log_s: float | None = None
     log_t: float | None = None
     log_u: float | None = None
@@ -242,7 +237,9 @@ class ReportRow(NamedTuple):
     ratio_u: float | None = None
     ratio_v: float | None = None
     ratio_l: float | None = None
-    ratio_v_saddle: float | None = None
+    ratio_u_w: float | None = None
+    ratio_v_w: float | None = None
+    ratio_l_w: float | None = None
 
 
 def report_grid(max_n: int) -> list[int]:
@@ -296,15 +293,14 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
             source = "asymptotic"
         est_st = log_cover_estimate(n, log_b)
         est_uvl = log_restricted_estimate(n, log_b)
-        est_saddle = log_saddle_estimate(n, log_b)
+        est_uvl_w = log_restricted_w(n, log_b)
         row = ReportRow(
             n=n,
             bell_source=source,
             log_bell_2n=log_b,
             est_st=est_st,
             est_uvl=est_uvl,
-            est_saddle=est_saddle,
-            saddle_blocks=saddle_block_count(n),
+            est_uvl_w=est_uvl_w,
         )
         if n <= exact_table.max_n:
             counts = exact_table.row(n)
@@ -323,7 +319,9 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
                 ratio_u=math.exp(logs["u"] - est_uvl),
                 ratio_v=math.exp(logs["v"] - est_uvl),
                 ratio_l=math.exp(logs["l"] - est_uvl),
-                ratio_v_saddle=math.exp(logs["v"] - est_saddle),
+                ratio_u_w=math.exp(logs["u"] - est_uvl_w),
+                ratio_v_w=math.exp(logs["v"] - est_uvl_w),
+                ratio_l_w=math.exp(logs["l"] - est_uvl_w),
             )
         rows.append(row)
     return tuple(rows)

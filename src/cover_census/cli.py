@@ -234,6 +234,9 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     return 0
 
 
+# The first two labels are implied by the fiber-size check, which forces
+# every fiber to 2^(n - d); they keep their wording while the oracle output
+# is pinned byte for byte.
 _ORACLE_CHECKS = (
     "preimage decomposition (s * 2^n over duplicates)",
     "clean preimage count (t * 2^n)",

@@ -17,12 +17,11 @@ from cover_census.asymptotics import (
     log_cover_estimate,
     log_integer,
     log_restricted_estimate,
-    log_saddle_estimate,
+    log_restricted_w,
     merged_twin_moment,
     merged_twin_moment_variance,
     ratio_trends,
     report_grid,
-    saddle_block_count,
     separation_probability,
     separation_ratio,
 )
@@ -120,22 +119,17 @@ class TestEstimators:
                 expected, rel=1e-14
             )
 
-    def test_saddle_block_count_against_scipy(self):
-        for n in (1, 2, 4, 10, 100, 1000, 10**6):
+    def test_restricted_w_against_scipy(self):
+        for n in (1, 2, 16, 100, 10**6):
+            if 2 * n <= DEFAULT_BELL_CAP:
+                log_b = log_integer(bell(2 * n))
+            else:
+                log_b = log_bell_asymptotic(2 * n)
             w = float(scipy.special.lambertw(2.0 * n).real)
-            assert saddle_block_count(n) == math.floor(2.0 * n / w + 0.5)
-
-    def test_saddle_block_count_frozen_points(self):
-        assert saddle_block_count(1) == 2
-        assert saddle_block_count(4) == 5
-        assert saddle_block_count(100) == 51
-
-    def test_saddle_estimate_formula(self):
-        n = 20
-        log_b = log_integer(bell(40))
-        m0 = saddle_block_count(n)
-        expected = log_b - n * math.log(2.0) - n / m0 - (n / m0) ** 2
-        assert log_saddle_estimate(n, log_b) == pytest.approx(expected, rel=1e-14)
+            expected = (
+                log_b - n * math.log(2.0) + 0.5 * math.log(w / (2 * n)) - (w / 2) ** 2
+            )
+            assert log_restricted_w(n, log_b) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -143,9 +137,7 @@ class TestEstimators:
         with pytest.raises(ValueError):
             log_restricted_estimate(1, 0.0)
         with pytest.raises(ValueError):
-            saddle_block_count(0)
-        with pytest.raises(ValueError):
-            log_saddle_estimate(0, 0.0)
+            log_restricted_w(0, 0.0)
 
 
 class TestExactProbabilities:
@@ -263,6 +255,21 @@ class TestReport:
             assert row.ratio_v == pytest.approx(
                 math.exp(row.log_v - row.est_uvl), rel=1e-12
             )
+            for name in ("u", "v", "l"):
+                assert getattr(row, f"ratio_{name}_w") == pytest.approx(
+                    math.exp(getattr(row, f"log_{name}") - row.est_uvl_w), rel=1e-12
+                )
+
+    def test_w_shape_sandwiches_v_and_u_to_128(self):
+        # v approaches its Lambert-W shape from below and u from above, each
+        # monotonically; l is pinned only by its formula above.
+        rows = asymptotic_report(128)
+        assert [row.n for row in rows] == [4, 8, 16, 32, 64, 128]
+        for row in rows:
+            assert row.ratio_v_w < 1 < row.ratio_u_w
+        for previous, row in zip(rows, rows[1:]):
+            assert previous.ratio_v_w < row.ratio_v_w
+            assert previous.ratio_u_w > row.ratio_u_w
 
     def test_report_asymptotic_fallback(self, monkeypatch):
         monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 16)

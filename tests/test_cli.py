@@ -30,9 +30,9 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE_PARENT = str(Path(cover_census.__file__).resolve().parents[1])
 
 REPORT_HEADER = (
-    "n,bell_source,log_bell_2n,est_st,est_uvl,est_saddle,saddle_blocks,"
+    "n,bell_source,log_bell_2n,est_st,est_uvl,est_uvl_w,"
     "log_s,log_t,log_u,log_v,log_l,"
-    "ratio_s,ratio_t,ratio_u,ratio_v,ratio_l,ratio_v_saddle"
+    "ratio_s,ratio_t,ratio_u,ratio_v,ratio_l,ratio_u_w,ratio_v_w,ratio_l_w"
 )
 
 GOLDEN_TABLE_3 = (
@@ -271,6 +271,18 @@ def twin_moved_up_a_bin(histogram, fibers):
     histogram[2] += 1
 
 
+def census_bin_moved(monkeypatch):
+    """Move one census partition from collision-histogram bin 0 to bin 1."""
+    counts = cli.oracle_counts
+
+    def perturbed(n, **kwargs):
+        census = counts(n, **kwargs)
+        first, second, *rest = census.collision_histogram
+        return census._replace(collision_histogram=(first - 1, second + 1, *rest))
+
+    monkeypatch.setattr(cli, "oracle_counts", perturbed)
+
+
 def perturb_table(monkeypatch, k, **steps):
     """Add ``steps`` to the fields of row k of every table the CLI builds."""
 
@@ -320,6 +332,12 @@ class TestOracleCommand:
                 "merged-twin factorial moment failed at n=3: the scan gives 157"
                 " at r=1 but (n)_r * Bell(5) = 156",
                 id="twin-histogram",
+            ),
+            pytest.param(
+                census_bin_moved,
+                "collision histogram failed at n=3: 63 separated partitions"
+                " have d=0 repeated images but the formula from t gives 64",
+                id="census-histogram",
             ),
             pytest.param(
                 lambda mp: perturb_table(mp, 3, l=1),
