@@ -1,8 +1,8 @@
 """Asymptotic estimators and exact probabilistic quantities for 2-covers.
 
 The estimators live in log space throughout: Bell numbers at the sizes of
-interest overflow any float, so exact integers are converted to
-high-precision logarithms and compared there.  Beside the paper's two
+interest overflow any float, so exact integers are compared through
+math.log, which takes integers of any size.  Beside the paper's two
 estimates, u, v and l are compared with the Lambert-W shape
 B_{2n} 2^{-n} sqrt(W/2n) exp(-(W/2)^2), W = W(2n), whose leading-term
 expansion is the paper's restricted estimate.  The probabilistic layer
@@ -62,21 +62,6 @@ def lambert_w(t: float) -> float:
         f"lambert_w({t}) did not reach residual {_W_TOLERANCE} in"
         f" {_W_MAX_ITERATIONS} iterations"
     )
-
-
-def log_integer(x: int) -> float:
-    """Natural log of a positive integer of any size, error < 1e-12 relative.
-
-    Floats cannot hold the huge Bell numbers, so the integer is split into
-    a 53-bit leading mantissa and a power of two.
-    """
-    if x <= 0:
-        raise ValueError(f"log_integer() needs x > 0, got {x}")
-    bits = x.bit_length()
-    if bits <= 53:
-        return math.log(x)
-    shift = bits - 53
-    return math.log(x >> shift) + shift * _LOG2
 
 
 def log_bell_asymptotic(n: int) -> float:
@@ -286,7 +271,7 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
     rows = []
     for n in grid:
         if 2 * n <= DEFAULT_BELL_CAP:
-            log_b = log_integer(bell(2 * n))
+            log_b = math.log(bell(2 * n))
             source = "exact"
         else:
             log_b = log_bell_asymptotic(2 * n)
@@ -305,7 +290,7 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
         if n <= exact_table.max_n:
             counts = exact_table.row(n)
             logs = {
-                name: log_integer(getattr(counts, name))
+                name: math.log(getattr(counts, name))
                 for name in ("s", "t", "u", "v", "l")
             }
             row = row._replace(

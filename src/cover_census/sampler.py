@@ -44,13 +44,12 @@ from .oracle import image_collision_count, merged_twin_count
 _MASK64 = (1 << 64) - 1
 
 
-def _mix_seed(seed: int, index: int) -> int:
-    """Derive stream ``index`` of a base seed: one splitmix64 output.
+def _mix_seed(seed: int) -> int:
+    """Derive the generator seed from a base seed: one splitmix64 output.
 
-    Estimators draw from stream 0; the mixing gives nearby base seeds
-    well-separated generator states.
+    The mixing gives nearby base seeds well-separated generator states.
     """
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (seed + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -223,7 +222,7 @@ def _run_trials(
     every draw.
     """
     size = 2 * n
-    rng = random.Random(_mix_seed(config.seed, 0))
+    rng = random.Random(_mix_seed(config.seed))
     total = 0
     total_squares = 0
     for _ in range(config.trials):

@@ -224,7 +224,11 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     cubic = PowerSeries.from_sequence([0, 0, 0, -1], degree)
     direct = (PowerSeries.x(degree) + cubic).exp() * v_series
     via_u = cubic.exp() * (v_series * PowerSeries.x(degree).exp())
-    _require_equal("line-graph series routes", direct.terms, via_u.terms)
+    _require_equal(
+        "line-graph series routes (exp(x - x^3/6) * V vs exp(-x^3/6) * V * e^x)",
+        direct.terms,
+        via_u.terms,
+    )
     return list(direct.terms)
 
 
@@ -290,12 +294,15 @@ def collision_histogram_route(t: Sequence[int]) -> list[int]:
 def full_table(max_n: int) -> SequenceTable:
     """Compute the five sequences to ``max_n`` with redundant verification.
 
-    Every derived route is recomputed a second way and compared: the
-    collapsed extraction is spot-checked against the literal block-count
-    grid, every t_n against the separated partitions of [2n], the
-    binomial and Stirling transforms against series products and
-    compositions, and the line-graph counts against their two product
-    forms.  Any disagreement raises ConsistencyError.
+    Six comparisons, each of two routes, raise ConsistencyError at the
+    first disagreement: v by the derangement collapse against the literal
+    block-count grid (n <= 8); Bell-number inclusion-exclusion over merged
+    twins against t folded into the separated partitions of [2n]; l as
+    exp(x - x^3/6) * V against exp(-x^3/6) * V * e^x; s as the Stirling
+    transform of u against T * Bell EGF; and s and t as Stirling
+    transforms against the compositions U(e^x - 1) and V(e^x - 1)
+    (n <= 24).  Row 0 needs no check of its own: the spot check pins
+    v_0 = 1, and every transform and product copies its n = 0 term.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -308,7 +315,8 @@ def full_table(max_n: int) -> SequenceTable:
 
     spot = min(max_n, _BIVARIATE_SPOT_DEGREE)
     _require_equal(
-        "collapsed and literal block-count extractions",
+        "collapsed and literal block-count extractions"
+        " (derangement collapse vs block-count grid)",
         v[: spot + 1],
         sequence_from_block_series(block_count_series(spot)),
     )
@@ -316,7 +324,8 @@ def full_table(max_n: int) -> SequenceTable:
     u = binomial_transform(v)
     t = stirling_transform(v)
     _require_equal(
-        "separated-partition route (T vs inclusion-exclusion over merged twins)",
+        "separated-partition route"
+        " (inclusion-exclusion over merged twins vs T folded into [2n])",
         [separated_partitions(n) for n in range(max_n + 1)],
         _separated_route(t),
     )
@@ -324,22 +333,22 @@ def full_table(max_n: int) -> SequenceTable:
     v_series = PowerSeries.from_sequence(v, max_n)
     l = line_transform(v_series)
 
-    exp_x = PowerSeries.x(max_n).exp()
-    u_series = v_series * exp_x
-    _require_equal("restricted route (V * e^x vs binomial transform)", u, u_series.terms)
-
     t_series = PowerSeries.from_sequence(t, max_n)
-    shifted = exp_x - PowerSeries.one(max_n)
+    shifted = PowerSeries.x(max_n).exp() - PowerSeries.one(max_n)
     _require_equal(
-        "plain-cover route (T * Bell EGF vs Stirling transform)",
+        "plain-cover route (Stirling transform of u vs T * Bell EGF)",
         s,
         (t_series * shifted.exp()).terms,
     )
 
     d = min(max_n, COMPOSE_CHECK_DEGREE)
-    for covers, counts, series in (("all", s, u_series), ("proper", t, v_series)):
+    u_series = PowerSeries.from_sequence(u, max_n)
+    for covers, counts, series in (
+        ("all 2-covers (Stirling transform of u vs U(e^x - 1))", s, u_series),
+        ("proper 2-covers (Stirling transform of v vs V(e^x - 1))", t, v_series),
+    ):
         _require_equal(
-            f"composition route for {covers} 2-covers",
+            f"composition route for {covers}",
             counts[: d + 1],
             series.truncate(d).compose(shifted.truncate(d)).terms,
         )
@@ -354,6 +363,4 @@ def full_table(max_n: int) -> SequenceTable:
         rows.append(
             TableRow(n, s[n], t[n], u[n], v[n], l[n], bell(2 * n))
         )
-    if rows[0] != TableRow(0, 1, 1, 1, 1, 1, 1):
-        raise ConsistencyError(f"row 0 should be all ones, got {rows[0]}")
     return SequenceTable(max_n, tuple(rows))

@@ -23,7 +23,6 @@ from cover_census.asymptotics import (
     asymptotic_report,
     lambert_w,
     log_bell_asymptotic,
-    log_integer,
     merged_twin_moment,
     separation_probability,
 )
@@ -175,7 +174,7 @@ def test_moser_wyman():
         start = time.monotonic()
         worst = 0.0
         for n in range(100, 1001):
-            gap = abs(log_bell_asymptotic(n) - log_integer(bell(n)))
+            gap = abs(log_bell_asymptotic(n) - math.log(bell(n)))
             worst = max(worst, gap)
         assert worst < 1e-3, f"worst expansion error {worst}"
         assert time.monotonic() - start < 60.0

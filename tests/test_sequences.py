@@ -82,6 +82,38 @@ class TestRestrictedProperSequence:
         literal = sequence_from_block_series(block_count_series(8))
         assert restricted_proper_sequence(8) == literal
 
+    def test_matches_diagonal_sum(self):
+        # A second route for every v_n and u_n to n = 64 that shares no code
+        # with the collapsed extraction.  With the derangement numbers D,
+        # H_j = sum_m C(2j, m) D(2j - m) C(C(m, 2), j) / (2j - 1)!!, and
+        # v_n = 2^-n sum_b (-1)^b C(n, b) H_(n-b); u_n drops the sign.
+        top = 64
+        derangement = [1]
+        for i in range(1, 2 * top + 1):
+            derangement.append(i * derangement[-1] + (-1) ** i)
+        h = []
+        double_factorial = 1  # (2j - 1)!!
+        for j in range(top + 1):
+            total = sum(
+                comb(2 * j, m) * derangement[2 * j - m] * comb(comb(m, 2), j)
+                for m in range(2 * j + 1)
+            )
+            quotient, remainder = divmod(total, double_factorial)
+            assert remainder == 0, j
+            h.append(quotient)
+            double_factorial *= 2 * j + 1
+        v, u = [], []
+        for n in range(top + 1):
+            terms = [comb(n, b) * h[n - b] for b in range(n + 1)]
+            signed = sum(term if b % 2 == 0 else -term for b, term in enumerate(terms))
+            for values, total in ((v, signed), (u, sum(terms))):
+                value, remainder = divmod(total, 1 << n)
+                assert remainder == 0, n
+                values.append(value)
+        expected = restricted_proper_sequence(top)
+        assert v == expected
+        assert u == binomial_transform(expected)
+
     def test_block_count_grid_counts_covers_by_block_count(self):
         # n! [x^n y^j] is the number of restricted proper 2-covers of [n]
         # with j blocks; count those covers exhaustively for n <= 4.
@@ -223,18 +255,28 @@ class TestSequenceConsistencyMachinery:
     @pytest.mark.parametrize(
         "owner, name, call, match",
         [
-            (sequences, "binomial_transform", 1, "restricted route"),
+            (sequences, "binomial_transform", 1, "plain-cover route"),
+            (sequences, "stirling_transform", 1, "separated-partition route"),  # v -> t
             (sequences, "stirling_transform", 2, "plain-cover route"),  # u -> s
             (PowerSeries, "compose", 1, "composition route"),
             (PowerSeries, "__mul__", 1, "line-graph series routes"),
         ],
-        ids=["binomial", "stirling-u-to-s", "compose", "line-graph-product"],
+        ids=[
+            "binomial",
+            "stirling-v-to-t",
+            "stirling-u-to-s",
+            "compose",
+            "line-graph-product",
+        ],
     )
     def test_series_checks_catch_perturbed_operand(
         self, monkeypatch, owner, name, call, match, k
     ):
-        # Each check compares a transform with a series product or a
-        # composition; adding 1 to one index of one side must trip it.
+        # Each check compares a transform with a series product, a
+        # composition or a Bell-number sum; adding 1 to one index of one
+        # side must trip it.  The k = 0 cases show that a wrong row 0 fails
+        # without a row-0 check of its own: u_0, t_0, s_0 and l_0 are each
+        # checked here, and v_0 by the spot check.
         original = getattr(owner, name)
         calls = []
 
