@@ -87,24 +87,8 @@ class Estimate(NamedTuple):
 # Prefix sums of the block-size weights C(m-1, k-1) B_{m-k}, k = 1, 2, ...,
 # for m remaining elements.  Each list grows only as far as a draw has needed,
 # which keeps the cache small: the full lists up to m = 200 would hold about
-# 20k big integers.  _unrank bisects a list in place while the rank lies below
-# its last entry; _block_size is the one place that grows it.
+# 20k big integers.  _unrank is the one place that grows and bisects them.
 _cumulative: dict[int, list[int]] = {}
-
-
-def _block_size(m: int, draw: int) -> int:
-    """Return the size of the block holding the smallest of m elements.
-
-    ``draw`` lies in [0, B_m); the size is the least k whose cumulative
-    weight exceeds it, which is what a linear scan of the weights returns.
-    """
-    cum = _cumulative.get(m)
-    if cum is None:
-        cum = _cumulative[m] = [bell(m - 1)]
-    while draw >= cum[-1]:
-        k = len(cum) + 1
-        cum.append(cum[-1] + math.comb(m - 1, k - 1) * bell(m - k))
-    return bisect_right(cum, draw) + 1
 
 
 # Binomial rows for the subset decode: _binomials[j][c] = C(c, j) for j >= 2.
@@ -151,12 +135,15 @@ def _unrank(
     label = 0
     m = size
     while True:
+        # The block holding the smallest element has the least size k whose
+        # cumulative weight exceeds the rank.
         cum = _cumulative.get(m)
-        if cum is None or rank >= cum[-1]:
-            k = _block_size(m, rank)
-            cum = _cumulative[m]
-        else:
-            k = bisect_right(cum, rank) + 1
+        if cum is None:
+            cum = _cumulative[m] = [bells[m - 1]]
+        while rank >= cum[-1]:
+            k = len(cum) + 1
+            cum.append(cum[-1] + math.comb(m - 1, k - 1) * bells[m - k])
+        k = bisect_right(cum, rank) + 1
         labels[remaining.pop(0)] = label
         if k > 1:
             rank -= cum[k - 2]

@@ -221,9 +221,10 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     brute-force engine counts both quantities separately.
     """
     degree = v_series.degree
+    x = PowerSeries.x(degree)
     cubic = PowerSeries.from_sequence([0, 0, 0, -1], degree)
-    direct = (PowerSeries.x(degree) + cubic).exp() * v_series
-    via_u = cubic.exp() * (v_series * PowerSeries.x(degree).exp())
+    direct = (x + cubic).exp() * v_series
+    via_u = cubic.exp() * (v_series * x.exp())
     _require_equal(
         "line-graph series routes (exp(x - x^3/6) * V vs exp(-x^3/6) * V * e^x)",
         direct.terms,
@@ -330,27 +331,26 @@ def full_table(max_n: int) -> SequenceTable:
         _separated_route(t),
     )
     s = stirling_transform(u)
-    v_series = PowerSeries.from_sequence(v, max_n)
-    l = line_transform(v_series)
+    l = line_transform(PowerSeries.from_sequence(v, max_n))
 
-    t_series = PowerSeries.from_sequence(t, max_n)
-    shifted = PowerSeries.x(max_n).exp() - PowerSeries.one(max_n)
+    # The Bell triangle behind bell() shares no code with the Stirling table.
+    bell_egf = PowerSeries.from_sequence([bell(n) for n in range(max_n + 1)], max_n)
     _require_equal(
         "plain-cover route (Stirling transform of u vs T * Bell EGF)",
         s,
-        (t_series * shifted.exp()).terms,
+        (PowerSeries.from_sequence(t, max_n) * bell_egf).terms,
     )
 
     d = min(max_n, COMPOSE_CHECK_DEGREE)
-    u_series = PowerSeries.from_sequence(u, max_n)
-    for covers, counts, series in (
-        ("all 2-covers (Stirling transform of u vs U(e^x - 1))", s, u_series),
-        ("proper 2-covers (Stirling transform of v vs V(e^x - 1))", t, v_series),
+    shifted = PowerSeries.x(d).exp() - PowerSeries.one(d)
+    for covers, counts, outer in (
+        ("all 2-covers (Stirling transform of u vs U(e^x - 1))", s, u),
+        ("proper 2-covers (Stirling transform of v vs V(e^x - 1))", t, v),
     ):
         _require_equal(
             f"composition route for {covers}",
             counts[: d + 1],
-            series.truncate(d).compose(shifted.truncate(d)).terms,
+            PowerSeries.from_sequence(outer, d).compose(shifted).terms,
         )
 
     rows = []

@@ -25,22 +25,8 @@ class PowerSeries:
             raise ValueError(f"degree must be >= 0, got {degree}")
         if len(terms) != degree + 1:
             raise ValueError(f"expected {degree + 1} terms, got {len(terms)}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.degree, self.terms) == (other.degree, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.terms))
-
-    def __repr__(self) -> str:
-        return f"PowerSeries(degree={self.degree!r}, terms={self.terms!r})"
+        self.degree = degree
+        self.terms = terms
 
     @staticmethod
     def from_sequence(values: Sequence[Rational], degree: int) -> "PowerSeries":

@@ -24,7 +24,6 @@ from cover_census.oracle import (
 from cover_census.sampler import (
     Estimate,
     SamplerConfig,
-    _block_size,
     _mix_seed,
     _unrank,
     estimate_collision_probability,
@@ -159,7 +158,7 @@ class TestRankDecode:
                 draw = sample_partition(size, rng)
                 assert draw == expected[rank]
                 # The prefix sums cover the first block drawn: only
-                # _block_size grows them, and the decode never reads past.
+                # _unrank grows them, and it never reads past their end.
                 assert len(sampler._cumulative[size]) >= draw.count(0)
             assert sampler._cumulative[size] == cumulative
 
@@ -172,7 +171,7 @@ def _reference_decode(size, rank):
     while None in labels:
         remaining = [i for i, x in enumerate(labels) if x is None]
         m = len(remaining)
-        k = _linear_block_size(m, rank)
+        k = _scan_first_block(m, rank)
         rank -= sum(math.comb(m - 1, i - 1) * bell(m - i) for i in range(1, k))
         subset, rank = divmod(rank, bell(m - k))
         labels[remaining[0]] = label
@@ -291,7 +290,7 @@ class TestTailTable:
         assert result.stdout == "[] {} [[]]\n"
 
 
-def _linear_block_size(m, draw):
+def _scan_first_block(m, draw):
     """Reference: scan the exact weights C(m-1, k-1) B_{m-k} in order."""
     k = 1
     while True:
@@ -303,13 +302,16 @@ def _linear_block_size(m, draw):
 
 
 class TestBlockSize:
+    """The first block's size, read as ``draw.count(0)`` from ``_unrank``."""
+
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
+        sample_partition(0, random.Random(0))  # builds the tail table
         monkeypatch.setattr(sampler, "_cumulative", {})
 
     def test_full_prefix_sums_end_at_bell(self):
         for m in range(1, 31):
-            assert _block_size(m, bell(m) - 1) == m
+            assert _unrank(m, bell(m) - 1).count(0) == m
             cumulative = sampler._cumulative[m]
             assert len(cumulative) == m
             assert cumulative[-1] == bell(m)
@@ -317,7 +319,7 @@ class TestBlockSize:
     def test_matches_linear_search_for_every_draw(self):
         for m in range(1, 9):
             for draw in range(bell(m)):
-                assert _block_size(m, draw) == _linear_block_size(m, draw)
+                assert _unrank(m, draw).count(0) == _scan_first_block(m, draw)
 
     @pytest.mark.parametrize("m", [50, 100, 200])
     def test_boundary_draws_in_and_out_of_order(self, m):
@@ -331,7 +333,7 @@ class TestBlockSize:
         for order in (shuffled, sorted(cases)):
             sampler._cumulative.clear()
             for draw, k in order:
-                assert _block_size(m, draw) == k
+                assert _unrank(m, draw).count(0) == k
             assert sampler._cumulative[m] == cumulative
 
 
