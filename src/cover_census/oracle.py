@@ -19,10 +19,10 @@ Sizes are capped by an explicit limit.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import perm
-from operator import eq, or_
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import bell, image_distinct_partitions
@@ -232,17 +232,27 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
     sum to the histogram's first entry.
 
     The scan is a forward pass over the 2n placements, keeping one count
-    per multiset of folded block masks.  Element i carries bit i mod n and
-    ORs it into the block it joins, or opens a new block.  Before twin
-    j + n is placed only the block of element j has bit j, so what can
-    still happen to a partial partition depends on its mask multiset
-    alone: the twin is merged exactly when its block already has the bit,
-    and a finished partition has 2n minus its total popcount merged twins.
-    The last placement is counted once per state: joining the partner's
-    block merges the twin, any other block or a new one does not, and
-    sorted fiber keys are built only for separated outcomes.
-    ``enumerate_partitions`` with ``classify_partition`` is the independent,
-    set-based route that checks this pass leaf by leaf.
+    per multiset of folded block masks.  Elements j and j + n both carry
+    bit j - 1 and are placed in the interleaved order 1, n + 1, 2, n + 2,
+    ..., n, 2n; each ORs its bit into the block it joins, or opens a new
+    block.  When twin j + n is placed, only the block of element j has
+    bit j - 1, so what can still happen to a partial partition depends on
+    its mask multiset alone: the twin is merged exactly when its block
+    already has the bit, and a finished partition has 2n minus its total
+    popcount merged twins.  Because each twin follows its partner at
+    once, partial partitions that differ only by swapping placed twins
+    between their blocks have equal multisets from the start and merge
+    into one state; in the order 1..2n no two states merge before the
+    twins begin.  At n = 5 the interleaved pass makes 5202 placements,
+    against 8043 for the order 1..2n, with the same 3274 final states.
+    The last placement, twin 2n, is counted once per state: joining the
+    partner's block merges the twin, any other block or a new one does
+    not.  Only the partner's block has the top bit, so after a separated
+    placement the partner and the joined block are the two largest masks,
+    and each fiber key is the other masks, sorted already, followed by
+    that ordered pair.  ``enumerate_partitions`` with
+    ``classify_partition`` is the independent, set-based route that
+    checks this pass leaf by leaf.
     """
     if n == 0:  # the empty partition, separated, folds to the empty cover
         return (1,), 1, {(): 1}
@@ -252,7 +262,7 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
     layer = {(): 1}
     for i in range(2 * n - 1):
         merged_layer: dict[tuple[int, ...], int] = {}
-        for masks, count in _placements(layer, 1 << (i % n)):
+        for masks, count in _placements(layer, 1 << (i // 2)):
             merged_layer[masks] = merged_layer.get(masks, 0) + count
         layer = merged_layer
     bit = 1 << (n - 1)
@@ -272,10 +282,14 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
         elif repeats == 1 and masks.count(rest) != 2:
             image_distinct += 2 * count
         if merged == 1:
-            for b, mask in enumerate(masks + (0,)):
-                if mask != partner:
-                    key = tuple(sorted(masks[:b] + (mask | bit,) + masks[b + 1 :]))
-                    fibers[key] = fibers.get(key, 0) + count
+            others = masks[:-1]
+            key = others + (bit, partner)
+            fibers[key] = fibers.get(key, 0) + count
+            for b, mask in enumerate(others):
+                joined = mask | bit
+                pair = (joined, partner) if joined < partner else (partner, joined)
+                key = others[:b] + others[b + 1 :] + pair
+                fibers[key] = fibers.get(key, 0) + count
     return tuple(twin_histogram), image_distinct, fibers
 
 
@@ -350,11 +364,16 @@ def _census(n: int) -> OracleCensus:
                 f"fiber size failed at n={n}: cover {[_mask_block(m, n) for m in key]}"
                 f" has {preimages} separated preimages, not 2^(n - {duplicates})"
             )
-        # Restricted covers are those whose blocks' edge sets are disjoint:
-        # their union, the line graph, then equals their sum.
-        block_edges = [edge_sets[mask] for mask in key]
-        line_graph = reduce(or_, block_edges, 0)
-        if line_graph != sum(block_edges):
+        # Restricted covers are those whose blocks' edge sets are disjoint;
+        # their union is the line graph.  Stop at the first shared edge.
+        line_graph = shared = 0
+        for mask in key:
+            edges = edge_sets[mask]
+            shared = line_graph & edges
+            if shared:
+                break
+            line_graph |= edges
+        if shared:
             continue
         u += 1
         v += duplicates == 0

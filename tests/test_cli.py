@@ -7,6 +7,7 @@ the wrapper an installer would generate from the cover-census entry in
 [project.scripts] of pyproject.toml.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,12 @@ check collision probability within bound: PASS
 check sequence table agreement: PASS
 result: PASS
 """
+
+# SHA-256 of the whole `oracle --n N` stdout at the two largest default sizes.
+ORACLE_STDOUT_SHA256 = {
+    5: "1f3195e1b5f7677324245242343d0d085ea1959dc350669abcef71f1c045ac8b",
+    6: "bd78ad3d54644501ac4973a524e6c273779613b129916520f5ebbb5fa9bc67af",
+}
 
 REPORT_NOTE = (
     "# estimator ratios converge like log log n / log n: judge them by their"
@@ -311,6 +318,14 @@ class TestOracleCommand:
         assert main(["oracle", "--n", "4"]) == 0
         captured = capsys.readouterr()
         assert captured.out == GOLDEN_ORACLE_4
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("n", sorted(ORACLE_STDOUT_SHA256))
+    def test_stdout_digest(self, capsys, n):
+        assert main(["oracle", "--n", str(n)]) == 0
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == ORACLE_STDOUT_SHA256[n]
         assert captured.err == ""
 
     @pytest.fixture

@@ -213,7 +213,12 @@ class TestFolding:
 
 
 def _per_outcome_scan(n):
-    """Reference: place every element, the last too, through ``_placements``."""
+    """Reference: place every element, the last too, through ``_placements``.
+
+    It keeps the plain order 1..2n, where ``_full_scan`` interleaves each
+    twin after its element, so agreement also shows that the counts do not
+    depend on the placement order.
+    """
     layer = {(): 1}
     for i in range(2 * n):
         merged_layer = Counter()
