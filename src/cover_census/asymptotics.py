@@ -173,14 +173,6 @@ def collision_probability(n: int) -> Fraction:
     return Fraction(total - image_distinct_partitions(n), total)
 
 
-def separation_ratio(n: int) -> float:
-    """Exact separation probability over its limit shape sqrt(log n / (2n))."""
-    if n < 2:
-        raise ValueError(f"separation_ratio() needs n >= 2, got {n}")
-    probability = separation_probability(n)
-    return float(probability) / math.sqrt(math.log(n) / (2.0 * n))
-
-
 def image_collision_bound(n: int) -> Fraction:
     """Union-style upper bound on the probability of a folded-block collision.
 

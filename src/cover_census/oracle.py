@@ -8,7 +8,7 @@ separated partition yields a multiset of subsets covering every element of
 therefore counts 2-covers with known multiplicities: a cover whose block
 multiset has d repeated blocks arises from exactly 2^(n - d) separated
 partitions, because each twin pair may be swapped independently except
-across a repeated block.  The scan counts them one element at a time,
+across a repeated block.  The scan counts them one twin pair at a time,
 merging partial partitions whose folded blocks agree.
 
 Everything here is exhaustive and independent of the generating-function
@@ -206,21 +206,49 @@ def _check_oracle_size(n: int, limit: int | None) -> None:
         )
 
 
-def _placements(
-    layer: dict[tuple[int, ...], int], bit: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every partial partition of ``layer`` with one more element placed.
+def _add_separated(
+    out: dict[tuple[int, ...], int], masks: tuple[int, ...], count: int, bit: int
+) -> None:
+    """Add to ``out`` the outcomes that split a twin pair with bit ``bit``.
 
-    The element, with folded bit ``bit``, joins each block in turn or opens
-    a new one; each outcome comes as a sorted mask tuple with its count.
+    ``masks`` is a sorted state with ``count`` partial partitions, and
+    ``bit`` is above every bit in it.  Both elements open new blocks, or
+    one opens a block and the other joins block p, or they join blocks
+    p < q.  Swapping the twins gives a second partition with the same
+    masks unless both blocks are new, hence the weight 2 * count.  The
+    masks without ``bit`` stay sorted when sliced, and the masks with it
+    are the largest, so each key is sorted as built.
     """
+    twice = 2 * count
+    key = masks + (bit, bit)
+    out[key] = out.get(key, 0) + count
+    for p, mask in enumerate(masks):
+        rest = masks[:p] + masks[p + 1 :]
+        joined = mask | bit
+        key = rest + (bit, joined)
+        out[key] = out.get(key, 0) + twice
+        for q in range(p, len(rest)):
+            key = rest[:q] + rest[q + 1 :] + (joined, rest[q] | bit)
+            out[key] = out.get(key, 0) + twice
+
+
+def _place_pair(
+    layer: dict[tuple[int, ...], int], bit: int
+) -> dict[tuple[int, ...], int]:
+    """Place one element and its twin, both with folded bit ``bit``.
+
+    Merged outcomes put both in a new block or both in block p, each with
+    the state's count; ``_add_separated`` adds the rest.
+    """
+    out: dict[tuple[int, ...], int] = {}
     for masks, count in layer.items():
-        for b, mask in enumerate(masks):
-            joined = list(masks)
-            joined[b] = mask | bit
-            joined.sort()
-            yield tuple(joined), count
-        yield tuple(sorted(masks + (bit,))), count
+        key = masks + (bit,)
+        out[key] = out.get(key, 0) + count
+        for p, mask in enumerate(masks):
+            key = masks[:p] + masks[p + 1 :] + (mask | bit,)
+            out[key] = out.get(key, 0) + count
+        _add_separated(out, masks, count, bit)
+    return out
 
 
 def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]:
@@ -231,27 +259,26 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
     of block bit masks; it holds every separated partition, so its counts
     sum to the histogram's first entry.
 
-    The scan is a forward pass over the 2n placements, keeping one count
-    per multiset of folded block masks.  Elements j and j + n both carry
-    bit j - 1 and are placed in the interleaved order 1, n + 1, 2, n + 2,
-    ..., n, 2n; each ORs its bit into the block it joins, or opens a new
-    block.  When twin j + n is placed, only the block of element j has
-    bit j - 1, so what can still happen to a partial partition depends on
-    its mask multiset alone: the twin is merged exactly when its block
-    already has the bit, and a finished partition has 2n minus its total
-    popcount merged twins.  Because each twin follows its partner at
-    once, partial partitions that differ only by swapping placed twins
-    between their blocks have equal multisets from the start and merge
-    into one state; in the order 1..2n no two states merge before the
-    twins begin.  At n = 5 the interleaved pass makes 5202 placements,
-    against 8043 for the order 1..2n, with the same 3274 final states.
-    The last placement, twin 2n, is counted once per state: joining the
-    partner's block merges the twin, any other block or a new one does
-    not.  Only the partner's block has the top bit, so after a separated
-    placement the partner and the joined block are the two largest masks,
-    and each fiber key is the other masks, sorted already, followed by
-    that ordered pair.  ``enumerate_partitions`` with
-    ``classify_partition`` is the independent, set-based route that
+    The scan is a forward pass over the n twin pairs, keeping one count
+    per multiset of folded block masks.  Step j places element j and its
+    twin j + n together; both carry bit j - 1, which is above every bit
+    already placed, so what can still happen to a partial partition
+    depends on its mask multiset alone, and a partition's merged twins
+    are 2j minus its total popcount.  At n = 7 the layers after each pair
+    hold 2, 9, 66, 712, 10457 and 198091 states; no layer holds an
+    element without its twin.
+
+    The last pair is counted once per state of the layer before it, in
+    closed form.  A state of L masks with x merged twins gives L + 1
+    partitions with x + 1 (both in a new block or both in one block) and
+    L^2 + L + 1 with x (split).  Its folded blocks end pairwise distinct
+    in (L + 1)^2 ways if its masks are distinct, 4L - 2 ways if one mask
+    repeats once, 8 ways if two masks repeat once each, and never
+    otherwise: the masks the pair leaves alone keep their repeats, and
+    the blocks it joins can break at most two.  The fiber keys are the
+    split outcomes of the states with x = 0, built by the same
+    ``_add_separated`` as every other step.  ``enumerate_partitions``
+    with ``classify_partition`` is the independent, set-based route that
     checks this pass leaf by leaf.
     """
     if n == 0:  # the empty partition, separated, folds to the empty cover
@@ -260,36 +287,23 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
     fibers: dict[tuple[int, ...], int] = {}
     image_distinct = 0
     layer = {(): 1}
-    for i in range(2 * n - 1):
-        merged_layer: dict[tuple[int, ...], int] = {}
-        for masks, count in _placements(layer, 1 << (i // 2)):
-            merged_layer[masks] = merged_layer.get(masks, 0) + count
-        layer = merged_layer
+    for j in range(n - 1):
+        layer = _place_pair(layer, 1 << j)
     bit = 1 << (n - 1)
     for masks, count in layer.items():
-        merged = 2 * n - sum(map(int.bit_count, masks))
-        twin_histogram[merged] += count
-        twin_histogram[merged - 1] += count * len(masks)
-        # Only the partner's block has the top bit, so it is the largest mask.
-        # Joining block m (a new block is m = 0) repeats a mask when m | bit
-        # equals the partner's block, and frees a repeat when m is repeated.
-        partner = masks[-1]
-        rest = partner ^ bit
-        distinct = set(masks)
-        repeats = len(masks) - len(distinct)
+        size = len(masks)
+        merged = 2 * n - 2 - sum(map(int.bit_count, masks))
+        twin_histogram[merged + 1] += count * (size + 1)
+        twin_histogram[merged] += count * (size * size + size + 1)
+        repeats = size - len(set(masks))
         if repeats == 0:
-            image_distinct += count * (len(masks) + 1 - (rest in distinct or rest == 0))
-        elif repeats == 1 and masks.count(rest) != 2:
-            image_distinct += 2 * count
-        if merged == 1:
-            others = masks[:-1]
-            key = others + (bit, partner)
-            fibers[key] = fibers.get(key, 0) + count
-            for b, mask in enumerate(others):
-                joined = mask | bit
-                pair = (joined, partner) if joined < partner else (partner, joined)
-                key = others[:b] + others[b + 1 :] + pair
-                fibers[key] = fibers.get(key, 0) + count
+            image_distinct += count * (size + 1) ** 2
+        elif repeats == 1:
+            image_distinct += count * (4 * size - 2)
+        elif repeats == 2 and not any(map(eq, masks, masks[2:])):
+            image_distinct += 8 * count
+        if merged == 0:
+            _add_separated(fibers, masks, count, bit)
     return tuple(twin_histogram), image_distinct, fibers
 
 

@@ -22,7 +22,6 @@ from cover_census.asymptotics import (
     ratio_trends,
     report_grid,
     separation_probability,
-    separation_ratio,
 )
 from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
 from cover_census.oracle import oracle_counts
@@ -186,15 +185,24 @@ class TestExactProbabilities:
         )
 
     def test_separation_ratio(self):
-        expected = float(Fraction(7, 15)) / math.sqrt(math.log(2) / 4.0)
-        assert separation_ratio(2) == pytest.approx(expected, rel=1e-14)
-        with pytest.raises(ValueError):
-            separation_ratio(1)
+        # The ratio of p_n to the paper's limit shape sqrt(log n / 2n),
+        # which vanishes at n = 1.
+        shape = math.sqrt(math.log(2) / 4.0)
+        expected = float(Fraction(7, 15)) / shape
+        assert float(separation_probability(2)) / shape == pytest.approx(
+            expected, rel=1e-14
+        )
+        with pytest.raises(ZeroDivisionError):
+            float(separation_probability(1)) / math.sqrt(math.log(1) / 2.0)
 
     def test_separation_ratio_approaches_one(self):
         # Convergence is logarithmic and not monotone step to step, so
         # only the endpoints are compared.
-        deviations = [abs(separation_ratio(n) - 1.0) for n in (16, 256)]
+        shapes = {n: math.sqrt(math.log(n) / (2.0 * n)) for n in (16, 256)}
+        deviations = [
+            abs(float(separation_probability(n)) / shape - 1.0)
+            for n, shape in shapes.items()
+        ]
         assert deviations[1] < deviations[0]
         assert deviations[1] < 0.1
 

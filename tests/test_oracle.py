@@ -19,7 +19,7 @@ from cover_census.oracle import (
     SetPartition,
     TwoCover,
     _full_scan,
-    _placements,
+    _place_pair,
     classify_partition,
     enumerate_partitions,
     fiber_check,
@@ -212,19 +212,33 @@ class TestFolding:
         assert fibers == scanned
 
 
-def _per_outcome_scan(n):
-    """Reference: place every element, the last too, through ``_placements``.
+def _place_element(layer, bit):
+    """Place one element, with folded bit ``bit``, in every partial partition.
 
-    It keeps the plain order 1..2n, where ``_full_scan`` interleaves each
-    twin after its element, so agreement also shows that the counts do not
-    depend on the placement order.
+    It joins each block in turn or opens a new one; each outcome is a
+    sorted mask tuple, and outcomes with equal tuples add their counts.
+    """
+    out = Counter()
+    for masks, count in layer.items():
+        for b, mask in enumerate(masks):
+            joined = list(masks)
+            joined[b] = mask | bit
+            out[tuple(sorted(joined))] += count
+        out[tuple(sorted(masks + (bit,)))] += count
+    return out
+
+
+def _per_outcome_scan(n):
+    """Reference: place every element, the last too, one at a time.
+
+    It keeps the plain order 1..2n and sorts every key, where ``_full_scan``
+    places each element with its twin and counts the last pair in closed
+    form, so agreement also shows that the counts do not depend on the
+    placement order.
     """
     layer = {(): 1}
     for i in range(2 * n):
-        merged_layer = Counter()
-        for masks, count in _placements(layer, 1 << (i % n)):
-            merged_layer[masks] += count
-        layer = merged_layer
+        layer = _place_element(layer, 1 << (i % n))
     twin_hist = [0] * (n + 1)
     collision_hist = [0] * (n + 1)
     image_distinct = 0
@@ -241,6 +255,21 @@ def _per_outcome_scan(n):
 
 
 class TestScanReferences:
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_pair_layers_match_brute_force(self, j):
+        # Counting from 0, element i of [2j] folds to bit i % j, so i and
+        # i + j are twins, as the pairs placed in the first j steps are.
+        expected = Counter()
+        for partition in enumerate_partitions(2 * j):
+            masks = [0] * partition.block_count
+            for i, label in enumerate(partition.rgs):
+                masks[label] |= 1 << (i % j)
+            expected[tuple(sorted(masks))] += 1
+        layer = {(): 1}
+        for bit in range(j):
+            layer = _place_pair(layer, 1 << bit)
+        assert layer == expected
+
     @pytest.mark.parametrize("n", range(7))
     def test_last_placement_matches_per_outcome_route(self, n):
         twin_hist, image_distinct, fibers = _full_scan(n)
