@@ -319,9 +319,9 @@ class OracleCensus(NamedTuple):
     of [2n]: ``separated`` have all twin pairs split, ``image_distinct``
     have pairwise distinct folded blocks, and ``collision_histogram`` bins
     the separated partitions by their folded-image collision count.
-    ``line_graphs`` and ``line_classes`` count the restricted covers'
-    distinct line graphs and their triangle/star exchange classes.  A
-    record exists only once every identity of the scan has held.
+    ``line_graphs`` counts the restricted covers' distinct line graphs,
+    ``line_classes`` those with no triangle component (one per exchange
+    class).  A record exists only once every identity of the scan has held.
     """
 
     n: int
@@ -366,9 +366,8 @@ def _census(n: int) -> OracleCensus:
         for mask in range(1 << n)
     ]
     collision_histogram = [0] * (n + 1)
-    t = u = v = 0
+    t = u = v = triangle_free = 0
     graphs = set()
-    classes = set()
     for key, preimages in fibers.items():
         duplicates = len(key) - len(set(key))
         collision_histogram[duplicates] += preimages
@@ -394,18 +393,12 @@ def _census(n: int) -> OracleCensus:
         graphs.add(line_graph)
         # Each element lies in exactly two blocks, so three two-element
         # blocks on three elements use every slot of those elements: a
-        # triangle is always a whole component, and finding the triangles
-        # among the two-element blocks is enough.  Distinct two-element
-        # masks a < b share one element exactly when a ^ b has two bits.
+        # triangle is always a whole component.  Distinct two-element
+        # masks a and b share one element exactly when a ^ b has two bits,
+        # and then the triangle's third block, if present, is a ^ b.
         pairs = [mask for mask in key if mask.bit_count() == 2]
-        triangles = [
-            (a, b, a ^ b)
-            for a, b in combinations(pairs, 2)
-            if a ^ b > b and a ^ b in pairs
-        ]
-        in_triangles = {mask for triangle in triangles for mask in triangle}
-        stars = [m for a, b, c in triangles for m in (a | b, a & b, a & c, b & c)]
-        classes.add(tuple(sorted([m for m in key if m not in in_triangles] + stars)))
+        if not any(a ^ b in pairs for a, b in combinations(pairs, 2)):
+            triangle_free += 1
     return OracleCensus(
         n=n,
         s=len(fibers),
@@ -419,7 +412,7 @@ def _census(n: int) -> OracleCensus:
         collision_histogram=tuple(collision_histogram),
         bell_2n=total,
         line_graphs=len(graphs),
-        line_classes=len(classes),
+        line_classes=triangle_free,
     )
 
 
@@ -472,14 +465,14 @@ def oracle_line_count(n: int, *, limit: int | None = None) -> int:
 
 
 def oracle_line_class_count(n: int, *, limit: int | None = None) -> int:
-    """Count restricted covers of [n] modulo the triangle/star exchange.
+    """Count restricted covers of [n] with no triangle component.
 
     A triangle component (three two-element blocks on three elements) and
     the star on the same elements (one triple block plus its three
-    singletons) are the classical pair of roots with equal line graphs;
-    replacing every triangle component by its star form and deduplicating
-    counts the exchange classes.  This is the quantity the correction
-    factor exp(-x^3/6) extracts from the restricted-cover series, so it
-    matches the table's line column exactly.
+    singletons) are the classical pair of roots with equal line graphs.
+    Replacing every triangle by its star gives each exchange class's one
+    triangle-free member, so this counts the classes too.  The factor
+    exp(-x^3/6) removes triangle components from the restricted-cover
+    series, so this matches the table's line column exactly.
     """
     return oracle_counts(n, limit=limit).line_classes

@@ -9,13 +9,13 @@ five sequences computed here are
 * ``u``: restricted 2-covers (repeated blocks allowed; a repeated block of
   size two or more breaks restrictedness, so only singleton blocks repeat),
 * ``t``: proper 2-covers, ``s``: all 2-covers,
-* ``l``: restricted 2-covers modulo the triangle/star component exchange,
-  the line-graph count in the exchange-class sense (see line_transform).
+* ``l``: restricted 2-covers with no triangle component, one per class
+  modulo the triangle/star exchange (see line_transform).
 
 Everything flows from ``v``.  Adjoining repeated singleton blocks gives the
 binomial transform to ``u``; substituting e^x - 1 (equivalently, applying
 the Stirling transform) lifts restricted counts to unrestricted ones; and
-the correction factor exp(x - x^3/6) converts ``v`` into ``l``.
+the factor exp(-x^3/6) removes the triangle components from ``u``, giving ``l``.
 """
 
 from __future__ import annotations
@@ -206,15 +206,16 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     A graph with n labelled edges and no isolated vertices is the same
     thing as a restricted 2-cover of the edge set (each vertex contributes
     its set of incident edges), and the triangle and the three-edge star
-    are the classical pair of such graphs with equal line graphs.  The
-    correction factor exp(-x^3/6) merges each triangle component with its
-    star twin, giving two equivalent product forms, exp(x - x^3/6) * V(x)
-    and exp(-x^3/6) * V(x) e^x; both are computed as integer binomial
-    convolutions of EGF terms, in which -x^3/6 is the sequence 0, 0, 0, -1,
-    and must agree termwise.
+    are the classical pair of such graphs with equal line graphs.  A
+    triangle component is x^3/3! in the exponential formula, so the factor
+    exp(-x^3/6) removes the triangle components from U(x) = V(x) e^x.  Its
+    two product forms, exp(x - x^3/6) * V(x) and exp(-x^3/6) * V(x) e^x,
+    are integer binomial convolutions of EGF terms, in which -x^3/6 is the
+    sequence 0, 0, 0, -1, and must agree termwise.
 
-    The result counts covers modulo that triangle/star exchange.  For
-    n <= 3 this equals the number of labelled line graphs, but from n = 4
+    The result counts restricted covers with no triangle component, one
+    per triangle/star exchange class (swap each triangle for its star).
+    For n <= 3 this equals the number of labelled line graphs, but from n = 4
     on it overcounts them (66 versus 60 at n = 4): line graphs with small
     components admit further labelled root collisions, such as a pendant
     edge on a triangle folding into the same diamond two ways.  The

@@ -31,8 +31,11 @@ from cover_census.oracle import (
 )
 from cover_census.sequences import collision_histogram_route, full_table
 
-# Distinct line-graph images stay strictly below the exchange-class count
-# from n = 4 on; both sequences were frozen from exhaustive runs.
+# Distinct line-graph images stay strictly below the line-class count, the
+# restricted covers with no triangle component, from n = 4 on.  Each
+# triangle/star exchange class holds exactly one triangle-free cover, so
+# the latter is also the number of exchange classes; both sequences were
+# frozen from exhaustive runs.
 LINE_CLASSES_KNOWN = [1, 1, 2, 8, 66, 774]
 LINE_IMAGES_KNOWN = [1, 1, 2, 8, 60, 729]
 
@@ -66,10 +69,30 @@ def iter_two_covers(n):
     yield from rec(1, [])
 
 
+def star_form(blocks):
+    """Replace every triangle (three two-element blocks on three elements)
+    by the star on its elements, as a sorted tuple of sorted blocks."""
+    pairs = [block for block in blocks if len(block) == 2]
+    triangles = [
+        (a, b, c) for a, b, c in combinations(pairs, 3) if len(a | b | c) == 3
+    ]
+    in_triangles = {block for triangle in triangles for block in triangle}
+    kept = [block for block in blocks if block not in in_triangles]
+    for a, b, c in triangles:
+        union = a | b | c
+        kept += [union] + [frozenset([e]) for e in union]
+    return tuple(sorted(tuple(sorted(block)) for block in kept))
+
+
 def census_from_multisets(n):
-    """Count covers four ways straight from the multiset enumeration."""
+    """Count covers four ways straight from the multiset enumeration.
+
+    Also returns the restricted covers' line graphs and their number of
+    triangle/star exchange classes, found by deduplicating star forms.
+    """
     s = t = u = v = 0
     images = set()
+    classes = set()
     for cover in iter_two_covers(n):
         proper = len(set(cover)) == len(cover)
         restricted = all(
@@ -80,12 +103,16 @@ def census_from_multisets(n):
         u += restricted
         v += proper and restricted
         if restricted:
+            blocks = [
+                frozenset(j + 1 for j in range(n) if (mask >> j) & 1)
+                for mask in cover
+            ]
             edges = set()
-            for mask in cover:
-                members = [j + 1 for j in range(n) if (mask >> j) & 1]
-                edges.update(combinations(members, 2))
+            for block in blocks:
+                edges.update(combinations(sorted(block), 2))
             images.add(frozenset(edges))
-    return s, t, u, v, images
+            classes.add(star_form(blocks))
+    return s, t, u, v, images, len(classes)
 
 
 class TestPartitionEnumeration:
@@ -332,9 +359,10 @@ class TestOracleCensus:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_independent_multiset_enumeration(self, n):
-        s, t, u, v, _ = census_from_multisets(n)
+        s, t, u, v, _, classes = census_from_multisets(n)
         census = oracle_counts(n)
         assert (s, t, u, v) == (census.s, census.t, census.u, census.v)
+        assert classes == census.line_classes
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -425,7 +453,7 @@ class TestLineGraphs:
             assert oracle_line_class_count(n) == table.row(n).l
 
     def test_every_graph_on_three_vertices_is_a_line_graph(self):
-        _, _, _, _, images = census_from_multisets(3)
+        _, _, _, _, images, _ = census_from_multisets(3)
         all_graphs = set()
         pairs = list(combinations(range(1, 4), 2))
         for bits in range(8):
@@ -438,7 +466,7 @@ class TestLineGraphs:
         # On at most four vertices every forbidden induced subgraph except
         # the claw is too large, so line graphs = claw-free graphs; the
         # four labelled claws are the only exclusions among the 64 graphs.
-        _, _, _, _, images = census_from_multisets(4)
+        _, _, _, _, images, _ = census_from_multisets(4)
         pairs = list(combinations(range(1, 5), 2))
         claw_free = set()
         claws = [

@@ -153,9 +153,27 @@ class TestLineTransform:
         u = binomial_transform(v_values)
         line = line_transform(v)
         assert all(line[n] <= u[n] for n in range(11))
-        # The exchange-class count collapses one pair per spare triangle,
-        # so it falls strictly below the restricted count from n = 3 on.
+        # The line column counts the restricted covers with no triangle
+        # component, one per triangle/star exchange class; from n = 3 on a
+        # triangle exists, so it falls strictly below the restricted count.
         assert all(line[n] < u[n] for n in range(3, 11))
+
+    def test_removes_labelled_triangles_from_u(self):
+        # exp(-x^3/6) * U(x) as a plain integer sum: k triangles on 3k of
+        # the n labels can be chosen n! / ((n - 3k)! 6^k k!) ways.
+        table = full_table(64)
+        u = _column(table, "u")
+        expected = [
+            sum(
+                (-1) ** k
+                * factorial(n)
+                // (factorial(n - 3 * k) * 6**k * factorial(k))
+                * u[n - 3 * k]
+                for k in range(n // 3 + 1)
+            )
+            for n in range(65)
+        ]
+        assert _column(table, "l") == expected
 
 
 def _column(table, name):
