@@ -275,8 +275,10 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
     in (L + 1)^2 ways if its masks are distinct, 4L - 2 ways if one mask
     repeats once, 8 ways if two masks repeat once each, and never
     otherwise: the masks the pair leaves alone keep their repeats, and
-    the blocks it joins can break at most two.  The fiber keys are the
-    split outcomes of the states with x = 0, built by the same
+    the blocks it joins can break at most two.  No mask occurs three
+    times, since masks are nonzero and every placed bit lies in at most
+    two blocks, so two repeats always mean two masks.  The fiber keys are
+    the split outcomes of the states with x = 0, built by the same
     ``_add_separated`` as every other step.  ``enumerate_partitions``
     with ``classify_partition`` is the independent, set-based route that
     checks this pass leaf by leaf.
@@ -300,7 +302,7 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
             image_distinct += count * (size + 1) ** 2
         elif repeats == 1:
             image_distinct += count * (4 * size - 2)
-        elif repeats == 2 and not any(map(eq, masks, masks[2:])):
+        elif repeats == 2:
             image_distinct += 8 * count
         if merged == 0:
             _add_separated(fibers, masks, count, bit)

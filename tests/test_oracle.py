@@ -295,6 +295,11 @@ class TestScanReferences:
         layer = {(): 1}
         for bit in range(j):
             layer = _place_pair(layer, 1 << bit)
+            # Each placed bit lies in at most two blocks, so no nonzero
+            # mask occurs three times; _full_scan's last pair relies on it.
+            assert all(
+                max(Counter(masks).values(), default=0) <= 2 for masks in layer
+            )
         assert layer == expected
 
     @pytest.mark.parametrize("n", range(7))

@@ -276,25 +276,23 @@ class TestSequenceConsistencyMachinery:
             (sequences, "binomial_transform", 1, "plain-cover route"),
             (sequences, "stirling_transform", 1, "separated-partition route"),  # v -> t
             (sequences, "stirling_transform", 2, "plain-cover route"),  # u -> s
-            (PowerSeries, "compose", 1, "composition route"),
             (PowerSeries, "__mul__", 1, "line-graph series routes"),
         ],
         ids=[
             "binomial",
             "stirling-v-to-t",
             "stirling-u-to-s",
-            "compose",
             "line-graph-product",
         ],
     )
     def test_series_checks_catch_perturbed_operand(
         self, monkeypatch, owner, name, call, match, k
     ):
-        # Each check compares a transform with a series product, a
-        # composition or a Bell-number sum; adding 1 to one index of one
-        # side must trip it.  The k = 0 cases show that a wrong row 0 fails
-        # without a row-0 check of its own: u_0, t_0, s_0 and l_0 are each
-        # checked here, and v_0 by the spot check.
+        # Each check compares a transform with a series product or a
+        # Bell-number sum; adding 1 to one index of one side must trip it.
+        # The k = 0 cases show that a wrong row 0 fails without a row-0
+        # check of its own: u_0, t_0, s_0 and l_0 are each checked here,
+        # and v_0 by the spot check.
         original = getattr(owner, name)
         calls = []
 
@@ -310,4 +308,21 @@ class TestSequenceConsistencyMachinery:
 
         monkeypatch.setattr(owner, name, perturbed)
         with pytest.raises(ConsistencyError, match=match):
+            full_table(8)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (3, 2), (5, 2), (6, 3), (8, 1), (8, 8)])
+    def test_separated_route_catches_perturbed_stirling_table(
+        self, monkeypatch, a, b
+    ):
+        # The Stirling table feeds t, s and the fold of t into [2n]; only
+        # the Bell-number side of the separated-partition route avoids it.
+        # One wrong S(a, b) trips that route, so the table needs no check
+        # of its own.
+        original = sequences.stirling2
+
+        def perturbed(n, k):
+            return original(n, k) + ((n, k) == (a, b))
+
+        monkeypatch.setattr(sequences, "stirling2", perturbed)
+        with pytest.raises(ConsistencyError, match="separated-partition route"):
             full_table(8)
