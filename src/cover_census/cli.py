@@ -7,7 +7,10 @@ exact counterparts.
 
 Exit codes are stable across commands: 0 on success, 1 when a
 verification or consistency check fails, 2 on argument or usage errors
-and when the output cannot be written.
+and when the output cannot be written.  Handlers raise and ``main()``
+maps: a refusal is a ``ValueError``, a failed check a
+``ConsistencyError`` and an unwritable stream an ``OSError``.  Only
+``table --out`` catches its own error, to name the file.
 """
 
 from __future__ import annotations
@@ -185,10 +188,7 @@ def _announce_table(max_n: int) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     _announce_table(args.max_n)
-    try:
-        table = full_table(args.max_n)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    table = full_table(args.max_n)
     if args.format == "csv":
         text = _csv(TABLE_FIELDS, table.rows)
     else:
@@ -208,16 +208,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     if args.max_n < 2:
-        return _usage_error(f"--max-n must be >= 2 for asymptotics, got {args.max_n}")
-    try:
-        report_grid(args.max_n)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+        raise ValueError(f"--max-n must be >= 2 for asymptotics, got {args.max_n}")
+    report_grid(args.max_n)  # refuses an overflowing --max-n before the announcement
     _announce_table(min(args.max_n, DEFAULT_BELL_CAP // 2))
-    try:
-        rows = asymptotic_report(args.max_n)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rows = asymptotic_report(args.max_n)
     if args.format == "csv":
         text = _csv(REPORT_FIELDS, rows, REPORT_NOTE)
     else:
@@ -253,9 +247,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     allowed = DEFAULT_ORACLE_LIMIT + 1 if args.slow else DEFAULT_ORACLE_LIMIT
     if args.n > allowed:
         flag_hint = "" if args.slow else " (pass --slow for one size more)"
-        return _usage_error(
-            f"--n {args.n} exceeds the oracle limit {allowed}{flag_hint}"
-        )
+        raise ValueError(f"--n {args.n} exceeds the oracle limit {allowed}{flag_hint}")
     n = args.n
     census = oracle_counts(n, limit=allowed)
     table = full_table(n)
@@ -323,29 +315,26 @@ def _statistic(
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.stat == "moment":
         if args.r is None:
-            return _usage_error("--stat moment requires --r")
+            raise ValueError("--stat moment requires --r")
         if args.r > args.n:
-            return _usage_error(f"--r must be <= --n, got r={args.r}, n={args.n}")
+            raise ValueError(f"--r must be <= --n, got r={args.r}, n={args.n}")
     elif args.r is not None:
-        return _usage_error(f"--r applies only to --stat moment, not {args.stat}")
+        raise ValueError(f"--r applies only to --stat moment, not {args.stat}")
     if 2 * args.n > DEFAULT_BELL_CAP:
-        return _usage_error(
+        raise ValueError(
             f"--n {args.n} needs partitions of [{2 * args.n}], "
             f"above the Bell cap {DEFAULT_BELL_CAP}"
         )
-    try:
-        config = SamplerConfig(trials=args.trials, seed=args.seed)
-        elements = args.trials * 2 * args.n
-        if elements > _ANNOUNCE_ABOVE_ELEMENTS:
-            print(
-                f"cover-census: drawing {args.trials} partitions of [{2 * args.n}]"
-                f" ({elements} elements); above {_ANNOUNCE_ABOVE_ELEMENTS}"
-                " elements this takes minutes",
-                file=sys.stderr,
-            )
-        result, exact, variance = _statistic(args, config)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    config = SamplerConfig(trials=args.trials, seed=args.seed)
+    elements = args.trials * 2 * args.n
+    if elements > _ANNOUNCE_ABOVE_ELEMENTS:
+        print(
+            f"cover-census: drawing {args.trials} partitions of [{2 * args.n}]"
+            f" ({elements} elements); above {_ANNOUNCE_ABOVE_ELEMENTS}"
+            " elements this takes minutes",
+            file=sys.stderr,
+        )
+    result, exact, variance = _statistic(args, config)
     # Score test: the denominator is the exact spread under the null,
     # p0 (1 - p0) for a probability p0 and Var[(X)_r] for a moment, so
     # a sample whose own spread is zero cannot make it vanish.
@@ -383,6 +372,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = args.handler(args)
         sys.stdout.flush()
+    except ValueError as exc:
+        return _usage_error(str(exc))
     except ConsistencyError as exc:
         return _last_word(f"FAIL: {exc}", 1)
     except OSError as exc:

@@ -168,6 +168,92 @@ EVERY_COMMAND = [
 ]
 
 
+# Every refusal a handler makes, with its whole stderr line: each raises
+# ValueError, and main() alone prints it and exits 2.
+REFUSALS = {
+    "table-above-bell-cap": (
+        "table --max-n 600",
+        "full_table(600) needs Bell numbers to 1200, above the cap 1024",
+    ),
+    "asymptotics-below-2": (
+        "asymptotics --max-n 1",
+        "--max-n must be >= 2 for asymptotics, got 1",
+    ),
+    "asymptotics-float-overflow": (
+        f"asymptotics --max-n {10**400}",
+        "max_n is too large for asymptotic reports:"
+        " the estimate of log B_2n overflows a float",
+    ),
+    "oracle-above-limit": (
+        "oracle --n 7",
+        "--n 7 exceeds the oracle limit 6 (pass --slow for one size more)",
+    ),
+    "oracle-above-slow-limit": (
+        "oracle --n 8 --slow",
+        "--n 8 exceeds the oracle limit 7",
+    ),
+    "sample-moment-without-r": (
+        "sample --n 4 --stat moment --trials 10 --seed 1",
+        "--stat moment requires --r",
+    ),
+    "sample-r-above-n": (
+        "sample --n 4 --stat moment --r 5 --trials 10 --seed 1",
+        "--r must be <= --n, got r=5, n=4",
+    ),
+    "sample-r-without-moment": (
+        "sample --n 4 --stat p-x0 --r 1 --trials 10 --seed 1",
+        "--r applies only to --stat moment, not p-x0",
+    ),
+    "sample-above-bell-cap": (
+        "sample --n 513 --stat p-x0 --trials 10 --seed 1",
+        "--n 513 needs partitions of [1026], above the Bell cap 1024",
+    ),
+    "sample-seed-above-64-bits": (
+        f"sample --n 4 --stat p-x0 --trials 10 --seed {2**64}",
+        "seed must fit in 64 bits, got 18446744073709551616",
+    ),
+}
+
+# The library call each handler makes, and one run of that handler.
+HANDLER_CALLS = {
+    "full_table": "table --max-n 3",
+    "asymptotic_report": "asymptotics --max-n 8",
+    "oracle_counts": "oracle --n 3",
+    "_statistic": "sample --n 2 --stat p-x0 --trials 10 --seed 1",
+}
+
+# SHA-256 of stdout, and the whole stderr, of runs whose bytes must not
+# move when the CLI is refactored.  The asymptotics floats come from libm
+# (log, exp), so that digest pins one platform's math library; the others
+# hold exact integers or correctly rounded floats.
+OUTPUT_DIGESTS = {
+    "table --max-n 40": (
+        "0682540e5d6083195d600fbed1169c4c371f520908840d33ecde9b483f3516fe",
+        "",
+    ),
+    "table --max-n 30 --format json": (
+        "c08c74d5bf5a447b4f416632bcec7b19d191455de1a14ddc25e40ed87f9a5d66",
+        "",
+    ),
+    "asymptotics --max-n 64": (
+        "cb6e97a857e4026eecc8fa27a68769a17247dc095e78e27912c8d4c68788b293",
+        "trend ratio_t: |ratio-1| 0.2573 at n=4 -> 0.1402 at n=64: PASS\n"
+        "trend ratio_v: |ratio-1| 0.2835 at n=4 -> 0.0398 at n=64: PASS\n",
+    ),
+    "sample --n 6 --stat p-collision --trials 2000 --seed 1": (
+        "03af44570cce5b51ebbfe824df9171e1b60866a18a8b9cdc10962c868f925300",
+        "",
+    ),
+    "sample --n 8 --stat moment --r 2 --trials 2000 --seed 1": (
+        "a097802f1b29779d558e2bc36b4ff4875fc60c74ab7d251715dd105533880760",
+        "",
+    ),
+}
+
+# The benchmark's record of the table-128 workload, read and never written.
+BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "cover_census", *argv],
@@ -718,6 +804,38 @@ class TestSampleCommand:
             "sample", "--n", "0", "--stat", "p-x0", "--trials", "10", "--seed", "1"
         )
         assert result.returncode == 2
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal_bytes(self, capsys, argv, message):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"cover-census: error: {message}\n")
+
+    @pytest.mark.parametrize("name, argv", HANDLER_CALLS.items(), ids=HANDLER_CALLS)
+    def test_library_value_error_is_usage_error(self, capsys, monkeypatch, name, argv):
+        # A ValueError from anywhere inside a handler takes the one path.
+        def refuse(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, name, refuse)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", "cover-census: error: boom\n")
+
+
+class TestOutputDigests:
+    @pytest.mark.parametrize("argv", OUTPUT_DIGESTS)
+    def test_output_bytes(self, capsys, argv):
+        assert main(argv.split()) == 0
+        out, err = capsys.readouterr()
+        assert (hashlib.sha256(out.encode()).hexdigest(), err) == OUTPUT_DIGESTS[argv]
+
+    def test_table_128_matches_benchmark(self, capsys):
+        expected = json.loads(BENCH_EXPECTED.read_text())["table-128"]
+        assert main(["table", "--max-n", "128"]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+        assert err == ""
 
 
 class TestProcessLevel:

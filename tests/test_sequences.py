@@ -326,3 +326,11 @@ class TestSequenceConsistencyMachinery:
         monkeypatch.setattr(sequences, "stirling2", perturbed)
         with pytest.raises(ConsistencyError, match="separated-partition route"):
             full_table(8)
+
+    def test_ordering_check_catches_l_above_u(self, monkeypatch):
+        # l <= u is the only check that reads l once the line transform
+        # has returned; an l one above u in every term must trip it.
+        u = [row.u for row in full_table(8).rows]
+        monkeypatch.setattr(sequences, "line_transform", lambda v: [x + 1 for x in u])
+        with pytest.raises(ConsistencyError, match="count ordering violated at n=0:"):
+            full_table(8)
