@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,9 +55,9 @@ TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
 REPORT_FIELDS = ReportRow._fields
 
-# full_table(256) takes 26-40 s on a 2-core host, nearly all of it in the
-# triple loop of restricted_proper_sequence, and the cost grows faster than
-# N^4, so larger exact tables are announced on stderr before they start.
+# full_table(256) takes 26-40 s on a 2-core host, 98% of it in the loop
+# over block counts of restricted_proper_sequence, and the cost grows faster
+# than N^4, so larger exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
 # A full draw costs 0.38-0.48 us per element of [2n] at n = 100 and
@@ -71,6 +72,10 @@ def _nonnegative(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
+        # int() refuses a well-formed literal only above its digit limit.
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            digits = sum(c.isdecimal() for c in text)
+            raise argparse.ArgumentTypeError(f"too large: {digits} digits") from exc
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0: {text}")

@@ -109,7 +109,7 @@ def restricted_proper_sequence(max_n: int) -> list[int]:
     block_count_series), the inner alternating sum over the exp(-y) index
     telescopes into derangement numbers via
     sum_{a <= A} (-1)^a / a! = derangement(A) / A!.  What remains is, for
-    each pairing count b, an integer accumulation over the block count m:
+    each pairing count b, an integer sum over the block count m:
 
         acc(b, j) = sum_m C(K, m) * derangement(K - m) * C(C(m, 2), j)
 
@@ -120,7 +120,9 @@ def restricted_proper_sequence(max_n: int) -> list[int]:
     Since (2N)! / (2^b * b! * K!) = C(2N, 2b) * (2b - 1)!!, multiplying
     through by (2N)! leaves an integer sum, and v_n is one exact division
     of n! times that sum by (2N)!; a nonzero remainder raises
-    ConsistencyError.
+    ConsistencyError.  The loop runs over m outside b and j, so each row
+    C(C(m, 2), j) is built once and added, with its (b, m) weight, straight
+    into the numerator of every v_{b + j} it feeds.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -128,35 +130,26 @@ def restricted_proper_sequence(max_n: int) -> list[int]:
     derangement = [1]
     for i in range(1, big_m + 1):
         derangement.append(i * derangement[-1] + (-1) ** i)
-    # pair_choices[m][j] = C(C(m, 2), j) for j up to min(max_n, C(m, 2))
-    pair_choices: list[list[int]] = []
-    for m in range(big_m + 1):
-        pairs = m * (m - 1) // 2
-        row = [1]
-        for j in range(1, min(max_n, pairs) + 1):
-            row.append(row[-1] * (pairs - j + 1) // j)
-        pair_choices.append(row)
-    acc: list[list[int]] = []
-    for b in range(max_n + 1):
-        remaining = big_m - 2 * b
-        totals = [0] * (max_n + 1)
-        for m in range(remaining + 1):
-            weight = comb(remaining, m) * derangement[remaining - m]
-            if weight == 0:
-                continue
-            row = pair_choices[m]
-            for j in range(min(len(row) - 1, max_n) + 1):
-                totals[j] += weight * row[j]
-        acc.append(totals)
     weights = []
     double_factorial = 1
     for b in range(max_n + 1):
         weights.append((-1) ** b * comb(big_m, 2 * b) * double_factorial)
         double_factorial *= 2 * b + 1
+    numerators = [0] * (max_n + 1)
+    for m in range(big_m + 1):
+        pairs = m * (m - 1) // 2
+        row = [1]  # C(C(m, 2), j) for j up to min(max_n, C(m, 2))
+        for j in range(1, min(max_n, pairs) + 1):
+            row.append(row[-1] * (pairs - j + 1) // j)
+        for b in range((big_m - m) // 2 + 1):
+            remaining = big_m - 2 * b
+            weight = weights[b] * comb(remaining, m) * derangement[remaining - m]
+            for n, pair_count in enumerate(row[: max_n - b + 1], b):
+                numerators[n] += weight * pair_count
     big_m_factorial = factorial(big_m)
     values = []
-    for n in range(max_n + 1):
-        total = factorial(n) * sum(weights[b] * acc[b][n - b] for b in range(n + 1))
+    for n, numerator in enumerate(numerators):
+        total = factorial(n) * numerator
         value, remainder = divmod(total, big_m_factorial)
         if remainder:
             raise ConsistencyError(
@@ -297,8 +290,8 @@ def full_table(max_n: int) -> SequenceTable:
     """Compute the five sequences to ``max_n`` with redundant verification.
 
     Four comparisons, each of two routes, raise ConsistencyError at the
-    first disagreement, and each column has a route that shares no code
-    with the computation it checks:
+    first disagreement.  Each of v, t, u and s has a route that shares no
+    code with the computation it checks:
 
     * v: the derangement collapse against the literal block-count grid
       (n <= 8), and at every n through t, since the Stirling transform is
@@ -308,6 +301,8 @@ def full_table(max_n: int) -> SequenceTable:
     * u and s: s as the Stirling transform of u against T * Bell EGF,
       whose terms come from the Bell triangle;
     * l: exp(x - x^3/6) * V against exp(-x^3/6) * V * e^x, and l <= u.
+      Both forms run PowerSeries.exp and __mul__; the route for l that
+      shares no code with them is the exhaustive oracle, up to n = 7.
 
     Row 0 needs no check of its own: the spot check pins v_0 = 1, and
     every transform and product copies its n = 0 term.

@@ -812,6 +812,24 @@ class TestErrorBoundary:
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", f"cover-census: error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--max-n"),
+            ("sample", "--n", "6", "--stat", "p-x0", "--trials", "10", "--seed"),
+        ],
+        ids=["table-max-n", "sample-seed"],
+    )
+    def test_overlong_integer_is_named_by_its_length(self, argv):
+        # int() refuses more than 4300 digits; the refusal names the length
+        # and does not echo the 5000-byte argument.
+        result = run_cli(*argv, "1" * 5000)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert len(result.stderr.encode()) < 500
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("usage: cover-census ")
+        assert lines[-1].endswith(f"argument {argv[-1]}: too large: 5000 digits")
+
     @pytest.mark.parametrize("name, argv", HANDLER_CALLS.items(), ids=HANDLER_CALLS)
     def test_library_value_error_is_usage_error(self, capsys, monkeypatch, name, argv):
         # A ValueError from anywhere inside a handler takes the one path.
@@ -835,6 +853,16 @@ class TestOutputDigests:
         assert main(["table", "--max-n", "128"]) == 0
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+        assert err == ""
+
+    @pytest.mark.slow
+    def test_table_256_digest(self, capsys):
+        # Rows 129..256 are pinned nowhere else; this takes 25-40 s.
+        assert main(["table", "--max-n", "256"]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c3f959009dc83dd654a4acc8766a75e2370f8e259be2c13c042597dd76e74321"
+        )
         assert err == ""
 
 

@@ -1,5 +1,6 @@
 """Tests for the exact sequence pipeline and its cross-checks."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -113,6 +114,18 @@ class TestRestrictedProperSequence:
         expected = restricted_proper_sequence(top)
         assert v == expected
         assert u == binomial_transform(expected)
+
+    def test_extraction_holds_one_row_at_a_time(self):
+        # One row C(C(m, 2), j) at a time, added straight into the
+        # numerators, peaks near 0.03 MB at n = 64; a table of every row,
+        # or of every (b, j) sum, peaks near 0.9 MB.
+        tracemalloc.start()
+        try:
+            restricted_proper_sequence(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_block_count_grid_counts_covers_by_block_count(self):
         # n! [x^n y^j] is the number of restricted proper 2-covers of [n]
