@@ -16,12 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .combinatorics import (
-    DEFAULT_BELL_CAP,
-    bell,
-    image_distinct_partitions,
-    separated_partitions,
-)
+from .combinatorics import bell, image_distinct_partitions, separated_partitions
 from .errors import ConsistencyError
 from .sequences import full_table
 
@@ -62,28 +57,6 @@ def lambert_w(t: float) -> float:
         f"lambert_w({t}) did not reach residual {_W_TOLERANCE} in"
         f" {_W_MAX_ITERATIONS} iterations"
     )
-
-
-def log_bell_asymptotic(n: int) -> float:
-    """Log of the n-th Bell number by the expansion of Moser and Wyman.
-
-    Evaluates the full expansion at w = W(n), including the e^{-w} and
-    e^{-2w} correction terms; the truncation error is O(e^{-3w}).  e^w is
-    taken as n / w, which the defining identity makes exact.
-    """
-    if n < 10:
-        raise ValueError(f"log_bell_asymptotic() needs n >= 10, got {n}")
-    w = lambert_w(float(n))
-    ew = n / w
-    one_plus = 1.0 + w
-    main = ew * (w * w - w + 1.0) - 0.5 * math.log1p(w) - 1.0
-    first = w * (2.0 * w * w + 7.0 * w + 10.0) / (24.0 * one_plus**3)
-    second = (
-        w
-        * (2.0 * w**4 + 12.0 * w**3 + 29.0 * w * w + 40.0 * w + 36.0)
-        / (48.0 * one_plus**6)
-    )
-    return main - first * math.exp(-w) - second * math.exp(-2.0 * w)
 
 
 def log_cover_estimate(n: int, log_bell_2n: float) -> float:
@@ -189,54 +162,39 @@ def image_collision_bound(n: int) -> Fraction:
 
 
 class ReportRow(NamedTuple):
-    """One report line: estimators at n, and exact comparisons when known.
+    """One report line: estimators at n, and exact comparisons against them.
 
     The ``ratio_*`` columns are linear-space quotients exact/estimate;
     ``ratio_s`` and ``ratio_t`` compare against the cover estimate,
     ``ratio_u``/``ratio_v``/``ratio_l`` against the restricted estimate,
     and ``ratio_u_w``/``ratio_v_w``/``ratio_l_w`` against its Lambert-W
-    shape ``est_uvl_w``.  They are None when n is beyond the exact table.
+    shape ``est_uvl_w``.
     """
 
     n: int
-    bell_source: str
     log_bell_2n: float
     est_st: float
     est_uvl: float
     est_uvl_w: float
-    log_s: float | None = None
-    log_t: float | None = None
-    log_u: float | None = None
-    log_v: float | None = None
-    log_l: float | None = None
-    ratio_s: float | None = None
-    ratio_t: float | None = None
-    ratio_u: float | None = None
-    ratio_v: float | None = None
-    ratio_l: float | None = None
-    ratio_u_w: float | None = None
-    ratio_v_w: float | None = None
-    ratio_l_w: float | None = None
+    log_s: float
+    log_t: float
+    log_u: float
+    log_v: float
+    log_l: float
+    ratio_s: float
+    ratio_t: float
+    ratio_u: float
+    ratio_v: float
+    ratio_l: float
+    ratio_u_w: float
+    ratio_v_w: float
+    ratio_l_w: float
 
 
 def report_grid(max_n: int) -> list[int]:
-    """Geometric grid 4, 8, ..., with max_n appended when missing.
-
-    Refuses a max_n whose estimated log B_{2n} is not a finite float
-    (from n of about 1.29e305 on), since no row there could be reported.
-    """
+    """Geometric grid 4, 8, ..., with max_n appended when missing."""
     if max_n < 2:
         raise ValueError(f"asymptotic reports need max_n >= 2, got {max_n}")
-    if 2 * max_n > DEFAULT_BELL_CAP:
-        try:
-            finite = math.isfinite(log_bell_asymptotic(2 * max_n))
-        except ArithmeticError:  # W(2n) fails to converge or 2n overflows
-            finite = False
-        if not finite:
-            raise ValueError(
-                "max_n is too large for asymptotic reports: the estimate of log B_2n"
-                " overflows a float"
-            )
     grid = []
     value = 4
     while value <= max_n:
@@ -253,54 +211,43 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
     """The exact-versus-estimate convergence report, one row per point of
     report_grid.
 
-    Exact sequence values are computed up to min(max_n, DEFAULT_BELL_CAP /
-    2), with the cap read at call time; for rows beyond that, log B_{2n}
-    falls back to the Bell-number expansion and the ratio columns are left
-    empty.  Each row records which source supplied it.
+    Every row is exact: the counts come from full_table(max_n), whose size
+    rule refuses a max_n beyond the Bell cap before any work is done.
     """
     grid = report_grid(max_n)
-    exact_table = full_table(min(max_n, DEFAULT_BELL_CAP // 2))
+    table = full_table(max_n)
     rows = []
     for n in grid:
-        if 2 * n <= DEFAULT_BELL_CAP:
-            log_b = math.log(bell(2 * n))
-            source = "exact"
-        else:
-            log_b = log_bell_asymptotic(2 * n)
-            source = "asymptotic"
+        counts = table.row(n)
+        log_b = math.log(counts.bell_2n)
         est_st = log_cover_estimate(n, log_b)
         est_uvl = log_restricted_estimate(n, log_b)
         est_uvl_w = log_restricted_w(n, log_b)
-        row = ReportRow(
-            n=n,
-            bell_source=source,
-            log_bell_2n=log_b,
-            est_st=est_st,
-            est_uvl=est_uvl,
-            est_uvl_w=est_uvl_w,
+        log_s, log_t, log_u, log_v, log_l = map(
+            math.log, (counts.s, counts.t, counts.u, counts.v, counts.l)
         )
-        if n <= exact_table.max_n:
-            counts = exact_table.row(n)
-            logs = {
-                name: math.log(getattr(counts, name))
-                for name in ("s", "t", "u", "v", "l")
-            }
-            row = row._replace(
-                log_s=logs["s"],
-                log_t=logs["t"],
-                log_u=logs["u"],
-                log_v=logs["v"],
-                log_l=logs["l"],
-                ratio_s=math.exp(logs["s"] - est_st),
-                ratio_t=math.exp(logs["t"] - est_st),
-                ratio_u=math.exp(logs["u"] - est_uvl),
-                ratio_v=math.exp(logs["v"] - est_uvl),
-                ratio_l=math.exp(logs["l"] - est_uvl),
-                ratio_u_w=math.exp(logs["u"] - est_uvl_w),
-                ratio_v_w=math.exp(logs["v"] - est_uvl_w),
-                ratio_l_w=math.exp(logs["l"] - est_uvl_w),
+        rows.append(
+            ReportRow(
+                n=n,
+                log_bell_2n=log_b,
+                est_st=est_st,
+                est_uvl=est_uvl,
+                est_uvl_w=est_uvl_w,
+                log_s=log_s,
+                log_t=log_t,
+                log_u=log_u,
+                log_v=log_v,
+                log_l=log_l,
+                ratio_s=math.exp(log_s - est_st),
+                ratio_t=math.exp(log_t - est_st),
+                ratio_u=math.exp(log_u - est_uvl),
+                ratio_v=math.exp(log_v - est_uvl),
+                ratio_l=math.exp(log_l - est_uvl),
+                ratio_u_w=math.exp(log_u - est_uvl_w),
+                ratio_v_w=math.exp(log_v - est_uvl_w),
+                ratio_l_w=math.exp(log_l - est_uvl_w),
             )
-        rows.append(row)
+        )
     return tuple(rows)
 
 
@@ -320,24 +267,17 @@ class TrendCheck(NamedTuple):
 
 def ratio_trends(rows: Sequence[ReportRow]) -> list[TrendCheck]:
     """Compare |ratio_t - 1| and |ratio_v - 1| at the first and last grid
-    points with exact data."""
-    checks = []
-    for column in ("ratio_t", "ratio_v"):
-        present = [
-            (row.n, getattr(row, column))
-            for row in rows
-            if getattr(row, column) is not None
-        ]
-        if len(present) < 2:
-            continue
-        (first_n, first), (last_n, last) = present[0], present[-1]
-        checks.append(
-            TrendCheck(
-                column=column,
-                first_n=first_n,
-                last_n=last_n,
-                first_deviation=abs(first - 1.0),
-                last_deviation=abs(last - 1.0),
-            )
+    points; a one-row report has no trend."""
+    if len(rows) < 2:
+        return []
+    first, last = rows[0], rows[-1]
+    return [
+        TrendCheck(
+            column=column,
+            first_n=first.n,
+            last_n=last.n,
+            first_deviation=abs(getattr(first, column) - 1.0),
+            last_deviation=abs(getattr(last, column) - 1.0),
         )
-    return checks
+        for column in ("ratio_t", "ratio_v")
+    ]

@@ -36,11 +36,10 @@ from .asymptotics import (
     merged_twin_moment,
     merged_twin_moment_variance,
     ratio_trends,
-    report_grid,
     separation_probability,
 )
 from .combinatorics import DEFAULT_BELL_CAP
-from .errors import ConsistencyError
+from .errors import ConsistencyError, clip
 from .oracle import DEFAULT_ORACLE_LIMIT, oracle_counts
 from .sampler import (
     Estimate,
@@ -76,16 +75,18 @@ def _nonnegative(text: str) -> int:
         if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             digits = sum(c.isdecimal() for c in text)
             raise argparse.ArgumentTypeError(f"too large: {digits} digits") from exc
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {clip(text, quote=True)}"
+        ) from exc
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
+        raise argparse.ArgumentTypeError(f"must be >= 0: {clip(text)}")
     return value
 
 
 def _positive(text: str) -> int:
     value = _nonnegative(text)
     if value == 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
+        raise argparse.ArgumentTypeError(f"must be >= 1: {clip(text)}")
     return value
 
 
@@ -214,8 +215,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be >= 2 for asymptotics, got {args.max_n}")
-    report_grid(args.max_n)  # refuses an overflowing --max-n before the announcement
-    _announce_table(min(args.max_n, DEFAULT_BELL_CAP // 2))
+    _announce_table(args.max_n)
     rows = asymptotic_report(args.max_n)
     if args.format == "csv":
         text = _csv(REPORT_FIELDS, rows, REPORT_NOTE)
@@ -252,7 +252,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     allowed = DEFAULT_ORACLE_LIMIT + 1 if args.slow else DEFAULT_ORACLE_LIMIT
     if args.n > allowed:
         flag_hint = "" if args.slow else " (pass --slow for one size more)"
-        raise ValueError(f"--n {args.n} exceeds the oracle limit {allowed}{flag_hint}")
+        raise ValueError(
+            f"--n {clip(args.n)} exceeds the oracle limit {allowed}{flag_hint}"
+        )
     n = args.n
     census = oracle_counts(n, limit=allowed)
     table = full_table(n)
@@ -322,12 +324,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.r is None:
             raise ValueError("--stat moment requires --r")
         if args.r > args.n:
-            raise ValueError(f"--r must be <= --n, got r={args.r}, n={args.n}")
+            raise ValueError(
+                f"--r must be <= --n, got r={clip(args.r)}, n={clip(args.n)}"
+            )
     elif args.r is not None:
         raise ValueError(f"--r applies only to --stat moment, not {args.stat}")
     if 2 * args.n > DEFAULT_BELL_CAP:
         raise ValueError(
-            f"--n {args.n} needs partitions of [{2 * args.n}], "
+            f"--n {clip(args.n)} needs partitions of [{clip(2 * args.n)}], "
             f"above the Bell cap {DEFAULT_BELL_CAP}"
         )
     config = SamplerConfig(trials=args.trials, seed=args.seed)

@@ -39,6 +39,7 @@ from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import _bell_values, bell
+from .errors import clip
 from .oracle import image_collision_count, merged_twin_count
 
 _MASK64 = (1 << 64) - 1
@@ -64,7 +65,7 @@ class SamplerConfig(namedtuple("SamplerConfig", "trials seed")):
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+            raise ValueError(f"seed must fit in 64 bits, got {clip(seed)}")
         return super().__new__(cls, trials, seed)
 
     @classmethod

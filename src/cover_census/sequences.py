@@ -25,7 +25,7 @@ from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions, stirling2
-from .errors import ConsistencyError
+from .errors import ConsistencyError, clip
 from .series import PowerSeries
 
 # Degree cap of the U(e^x - 1) and V(e^x - 1) compositions, which cost
@@ -311,8 +311,8 @@ def full_table(max_n: int) -> SequenceTable:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     if 2 * max_n > DEFAULT_BELL_CAP:
         raise ValueError(
-            f"full_table({max_n}) needs Bell numbers to {2 * max_n}, above the"
-            f" cap {DEFAULT_BELL_CAP}"
+            f"full_table({clip(max_n)}) needs Bell numbers to {clip(2 * max_n)},"
+            f" above the cap {DEFAULT_BELL_CAP}"
         )
     v = restricted_proper_sequence(max_n)
 

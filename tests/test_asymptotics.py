@@ -1,5 +1,5 @@
-"""Tests for Lambert W, the Bell-number expansion, exact probability
-formulas, and the convergence report."""
+"""Tests for Lambert W, the estimators, exact probability formulas, and
+the convergence report."""
 
 import math
 from fractions import Fraction
@@ -8,12 +8,10 @@ import mpmath
 import pytest
 import scipy.special
 
-from cover_census import asymptotics
 from cover_census.asymptotics import (
     asymptotic_report,
     image_collision_bound,
     lambert_w,
-    log_bell_asymptotic,
     log_cover_estimate,
     log_restricted_estimate,
     log_restricted_w,
@@ -25,6 +23,7 @@ from cover_census.asymptotics import (
 )
 from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
 from cover_census.oracle import oracle_counts
+from cover_census.sequences import full_table
 
 
 class TestLambertW:
@@ -71,26 +70,6 @@ class TestLogInteger:
         assert math.log(value) == pytest.approx(reference, rel=1e-12)
 
 
-class TestLogBellAsymptotic:
-    def test_requires_n_at_least_ten(self):
-        with pytest.raises(ValueError):
-            log_bell_asymptotic(9)
-
-    @pytest.mark.parametrize("n", [10, 25, 50, 100, 250, 500, 1000])
-    def test_close_to_exact(self, n):
-        exact = math.log(bell(n))
-        approx = log_bell_asymptotic(n)
-        tolerance = 1e-3 if n < 100 else 1e-6
-        assert abs(approx - exact) < tolerance
-
-    def test_error_shrinks_with_n(self):
-        errors = [
-            abs(log_bell_asymptotic(n) - math.log(bell(n)))
-            for n in (50, 200, 800)
-        ]
-        assert errors[0] > errors[1] > errors[2]
-
-
 class TestEstimators:
     def test_cover_estimate_formula(self):
         for n in (2, 5, 16, 100):
@@ -110,11 +89,10 @@ class TestEstimators:
             )
 
     def test_restricted_w_against_scipy(self):
-        for n in (1, 2, 16, 100, 10**6):
-            if 2 * n <= DEFAULT_BELL_CAP:
-                log_b = math.log(bell(2 * n))
-            else:
-                log_b = log_bell_asymptotic(2 * n)
+        # The shape is affine in log B_2n, so the n = 10^6 point, far beyond
+        # the Bell table, takes a fixed value for it.
+        points = [(n, math.log(bell(2 * n))) for n in (1, 2, 16, 100)]
+        for n, log_b in points + [(10**6, 2.2e7)]:
             w = float(scipy.special.lambertw(2.0 * n).real)
             expected = (
                 log_b - n * math.log(2.0) + 0.5 * math.log(w / (2 * n)) - (w / 2) ** 2
@@ -239,15 +217,16 @@ class TestReport:
 
     def test_report_exact_rows(self):
         rows = asymptotic_report(16)
+        table = full_table(16)
         assert [row.n for row in rows] == [4, 8, 16]
         for row in rows:
-            assert row.bell_source == "exact"
             assert row.log_bell_2n == pytest.approx(
                 math.log(bell(2 * row.n)), rel=1e-14
             )
             for name in ("s", "t", "u", "v", "l"):
-                assert getattr(row, f"log_{name}") is not None
-                assert getattr(row, f"ratio_{name}") is not None
+                assert getattr(row, f"log_{name}") == pytest.approx(
+                    math.log(getattr(table.row(row.n), name)), rel=1e-14
+                )
             assert row.ratio_t == pytest.approx(
                 math.exp(row.log_t - row.est_st), rel=1e-12
             )
@@ -270,18 +249,6 @@ class TestReport:
             assert previous.ratio_v_w < row.ratio_v_w
             assert previous.ratio_u_w > row.ratio_u_w
 
-    def test_report_asymptotic_fallback(self, monkeypatch):
-        monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 16)
-        by_n = {row.n: row for row in asymptotic_report(20)}
-        assert by_n[4].bell_source == "exact"
-        assert by_n[8].bell_source == "exact"
-        for n in (16, 20):
-            row = by_n[n]
-            assert row.bell_source == "asymptotic"
-            assert row.log_s is None
-            assert row.ratio_v is None
-            assert row.est_st < row.log_bell_2n
-
     def test_max_n_below_two_rejected(self):
         assert [row.n for row in asymptotic_report(2)] == [2]
         with pytest.raises(ValueError):
@@ -295,14 +262,7 @@ class TestReport:
             assert check.last_n == 64
             assert check.improved
 
-    def test_trends_need_two_exact_rows(self, monkeypatch):
-        # Under a Bell cap of 8 only the n = 4 row of 4, 8, 16, 20 is exact.
-        monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 8)
-        rows = asymptotic_report(20)
-        assert [row.bell_source for row in rows] == [
-            "exact",
-            "asymptotic",
-            "asymptotic",
-            "asymptotic",
-        ]
+    def test_trends_need_two_rows(self):
+        rows = asymptotic_report(3)
+        assert [row.n for row in rows] == [3]
         assert ratio_trends(rows) == []

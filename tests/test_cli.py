@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census import asymptotics, cli, oracle
+from cover_census import cli, oracle, sequences
 from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
 from cover_census.cli import main
 from cover_census.sampler import Estimate
@@ -31,7 +31,7 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE_PARENT = str(Path(cover_census.__file__).resolve().parents[1])
 
 REPORT_HEADER = (
-    "n,bell_source,log_bell_2n,est_st,est_uvl,est_uvl_w,"
+    "n,log_bell_2n,est_st,est_uvl,est_uvl_w,"
     "log_s,log_t,log_u,log_v,log_l,"
     "ratio_s,ratio_t,ratio_u,ratio_v,ratio_l,ratio_u_w,ratio_v_w,ratio_l_w"
 )
@@ -168,6 +168,9 @@ EVERY_COMMAND = [
 ]
 
 
+# 10**400 as a refusal shows it.
+LONG_400 = f"1{'0' * 39}... (401 characters)"
+
 # Every refusal a handler makes, with its whole stderr line: each raises
 # ValueError, and main() alone prints it and exits 2.
 REFUSALS = {
@@ -178,11 +181,6 @@ REFUSALS = {
     "asymptotics-below-2": (
         "asymptotics --max-n 1",
         "--max-n must be >= 2 for asymptotics, got 1",
-    ),
-    "asymptotics-float-overflow": (
-        f"asymptotics --max-n {10**400}",
-        "max_n is too large for asymptotic reports:"
-        " the estimate of log B_2n overflows a float",
     ),
     "oracle-above-limit": (
         "oracle --n 7",
@@ -212,6 +210,30 @@ REFUSALS = {
         f"sample --n 4 --stat p-x0 --trials 10 --seed {2**64}",
         "seed must fit in 64 bits, got 18446744073709551616",
     ),
+    # A value past 40 characters shows its first 40 and its length.
+    "oracle-long-n": (
+        f"oracle --n {10**400}",
+        f"--n {LONG_400} exceeds the oracle limit 6 (pass --slow for one size more)",
+    ),
+    "sample-long-n": (
+        f"sample --n {10**400} --stat p-x0 --trials 10 --seed 1",
+        f"--n {LONG_400} needs partitions of [2{'0' * 39}... (401 characters)],"
+        " above the Bell cap 1024",
+    ),
+    "sample-long-r": (
+        f"sample --n 4 --stat moment --r {10**400} --trials 10 --seed 1",
+        f"--r must be <= --n, got r={LONG_400}, n=4",
+    ),
+    "sample-long-seed": (
+        f"sample --n 4 --stat p-x0 --trials 10 --seed {10**400}",
+        f"seed must fit in 64 bits, got {LONG_400}",
+    ),
+    # Twice a 4300-digit max_n is past the interpreter's str() digit limit.
+    "table-max-n-at-digit-limit": (
+        f"table --max-n 5{'0' * 4299}",
+        f"full_table(5{'0' * 39}... (4300 characters)) needs Bell numbers to"
+        " an integer of 14285 bits, above the cap 1024",
+    ),
 }
 
 # The library call each handler makes, and one run of that handler.
@@ -236,7 +258,7 @@ OUTPUT_DIGESTS = {
         "",
     ),
     "asymptotics --max-n 64": (
-        "cb6e97a857e4026eecc8fa27a68769a17247dc095e78e27912c8d4c68788b293",
+        "a91b04d588cb9a5da2f81b1154af908dcfe902d6740c92c9c93d9092be9b483f",
         "trend ratio_t: |ratio-1| 0.2573 at n=4 -> 0.1402 at n=64: PASS\n"
         "trend ratio_v: |ratio-1| 0.2835 at n=4 -> 0.0398 at n=64: PASS\n",
     ),
@@ -509,8 +531,8 @@ class TestAsymptoticsCommand:
         assert lines[0] == REPORT_NOTE
         assert lines[1] == REPORT_HEADER
         assert len(lines) == 4
-        assert lines[2].startswith("4,exact,")
-        assert lines[3].startswith("8,exact,")
+        assert lines[2].startswith("4,")
+        assert lines[3].startswith("8,")
         trend_lines = [
             line for line in captured.err.splitlines() if line.startswith("trend ")
         ]
@@ -528,52 +550,42 @@ class TestAsymptoticsCommand:
         assert all(list(row) == REPORT_HEADER.split(",") for row in payload["rows"])
         row = payload["rows"][0]
         assert isinstance(row["ratio_v"], float)
-        assert row["bell_source"] == "exact"
 
     def test_small_max_n_is_usage_error(self, capsys):
         assert main(["asymptotics", "--max-n", "1"]) == 2
         assert "max-n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("max_n, exact_n", [(256, None), (300, 300), (600, 512)])
-    def test_large_exact_table_is_announced(self, capsys, monkeypatch, max_n, exact_n):
-        monkeypatch.setattr(cli, "asymptotic_report", lambda n: asymptotic_report(8))
-        assert main(["asymptotics", "--max-n", str(max_n)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if not line.startswith("trend ")] == (
-            []
-            if exact_n is None
-            else [
-                f"cover-census: building the exact table to n={exact_n};"
-                " above n=256 this takes minutes"
-            ]
+    @pytest.mark.parametrize(
+        "max_n, code, err",
+        [
+            (256, 0, []),
+            (
+                300,
+                0,
+                [
+                    "cover-census: building the exact table to n=300;"
+                    " above n=256 this takes minutes"
+                ],
+            ),
+            (
+                600,
+                2,
+                [
+                    "cover-census: error: full_table(600) needs Bell numbers to"
+                    " 1200, above the cap 1024"
+                ],
+            ),
+        ],
+    )
+    def test_large_exact_table_is_announced(self, capsys, monkeypatch, max_n, code, err):
+        # Sizes up to 512 get a small report; a larger one reaches the real
+        # report, which full_table refuses without an announcement.
+        monkeypatch.setattr(
+            cli, "asymptotic_report", lambda n: asymptotic_report(8 if n <= 512 else n)
         )
-
-    @pytest.mark.parametrize("max_n", [10**306, 10**400])
-    def test_float_overflow_is_refused_up_front(self, capsys, monkeypatch, max_n):
-        # From n of about 1.29e305 the estimate of log B_2n is inf, and above
-        # 2n of about 4.49e307 it raises; both are refused before any table
-        # work is done or announced.
-        monkeypatch.setattr(cli, "asymptotic_report", lambda n: pytest.fail("built"))
-        assert main(["asymptotics", "--max-n", str(max_n)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("cover-census: error: ")
-
-    def test_largest_float_range_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setattr(asymptotics, "DEFAULT_BELL_CAP", 16)
-        monkeypatch.setattr(cli, "DEFAULT_BELL_CAP", 16)
-        max_n = 10**305
-        assert main(["asymptotics", "--max-n", str(max_n), "--format", "json"]) == 0
-
-        def reject(constant):
-            raise AssertionError(f"non-JSON constant {constant}")
-
-        rows = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
-        assert rows[-1]["n"] == max_n
-        assert rows[-1]["bell_source"] == "asymptotic"
-        assert all(math.isfinite(row["log_bell_2n"]) for row in rows)
+        assert main(["asymptotics", "--max-n", str(max_n)]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if not line.startswith("trend ")] == err
 
 
 class TestSampleCommand:
@@ -829,6 +841,57 @@ class TestErrorBoundary:
         lines = result.stderr.splitlines()
         assert lines[0].startswith("usage: cover-census ")
         assert lines[-1].endswith(f"argument {argv[-1]}: too large: 5000 digits")
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (
+                ["table", "--max-n", "1" * 4999 + "x"],
+                f"argument --max-n: not an integer: '{'1' * 40}'... (5000 characters)",
+            ),
+            (
+                ["table", "--max-n", "-" + "1" * 4300],
+                f"argument --max-n: must be >= 0: -{'1' * 39}... (4301 characters)",
+            ),
+            (
+                ["sample", "--n", "0" * 4000, "--stat", "p-x0", "--trials", "10"],
+                f"argument --n: must be >= 1: {'0' * 40}... (4000 characters)",
+            ),
+        ],
+        ids=["not-an-integer", "negative", "zero"],
+    )
+    def test_long_argument_is_clipped(self, capsys, argv, last_line):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, out) == (2, "")
+        assert len(err.encode()) < 500
+        assert err.splitlines()[-1].endswith(last_line)
+
+    @pytest.mark.parametrize("command", ["table", "asymptotics"])
+    @pytest.mark.parametrize(
+        "max_n, message",
+        [
+            (513, "full_table(513) needs Bell numbers to 1026, above the cap 1024"),
+            (
+                10**400,
+                f"full_table({LONG_400}) needs Bell numbers to"
+                f" 2{'0' * 39}... (401 characters), above the cap 1024",
+            ),
+        ],
+        ids=["513", "10**400"],
+    )
+    def test_one_size_rule(self, capsys, monkeypatch, command, max_n, message):
+        # full_table's refusal is the only size rule of both commands: one
+        # line, nothing on stdout, no announcement and no extraction.
+        def extract(n):
+            raise AssertionError(f"restricted_proper_sequence({n}) was called")
+
+        monkeypatch.setattr(sequences, "restricted_proper_sequence", extract)
+        assert main([command, "--max-n", str(max_n)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"cover-census: error: {message}\n")
+        assert len(err.encode()) < 500
 
     @pytest.mark.parametrize("name, argv", HANDLER_CALLS.items(), ids=HANDLER_CALLS)
     def test_library_value_error_is_usage_error(self, capsys, monkeypatch, name, argv):

@@ -1,6 +1,6 @@
 """Tests for the package's export list, the README example that uses it,
-the modules the CLI imports, and the absence of unused imports and of
-unused private names."""
+the modules the CLI imports, the absence of unused imports and of unused
+private names, and the modules that name the Bell cap."""
 
 import ast
 import subprocess
@@ -155,3 +155,36 @@ def test_oracle_shares_no_code_with_the_formula_route():
     # The exhaustive route checks the formula pipeline, so it must not use it.
     source = (ROOT / "src/cover_census/oracle.py").read_text(encoding="utf-8")
     assert package_imports(source).isdisjoint({"sequences", "series", "asymptotics"})
+
+
+def names_read(source):
+    """Every name a module reads, binds, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+    return found
+
+
+def test_name_check_sees_each_form():
+    source = (
+        "from .combinatorics import CAP as C\nimport os\n"
+        "x = combinatorics.LIMIT + C\n"
+    )
+    assert names_read(source) == {"CAP", "C", "os", "combinatorics", "LIMIT", "x"}
+
+
+def test_bell_cap_is_named_by_the_size_rule_modules_only():
+    # bell() and stirling2() enforce the cap, full_table refuses a table
+    # past it, and the CLI announces and refuses sizes against it; every
+    # other module meets it through one of these.
+    naming = {
+        path.stem
+        for path in PACKAGE
+        if "DEFAULT_BELL_CAP" in names_read(path.read_text(encoding="utf-8"))
+    }
+    assert naming == {"combinatorics", "sequences", "cli"}
