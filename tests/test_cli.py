@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census import cli, oracle, sequences
+from cover_census import cli, errors, oracle, sequences
 from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
 from cover_census.cli import main
 from cover_census.sampler import Estimate
@@ -902,6 +902,32 @@ class TestErrorBoundary:
         monkeypatch.setattr(cli, name, refuse)
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", "cover-census: error: boom\n")
+
+
+class TestClip:
+    # errors.clip is how every refusal above shows a value; these pin its
+    # boundary at 40 characters and its two fallbacks directly.
+    @pytest.mark.parametrize(
+        "value, quote, shown",
+        [
+            ("7" * 40, False, "7" * 40),
+            ("7" * 41, False, f"{'7' * 40}... (41 characters)"),
+            ("x", True, "'x'"),
+            ("x" * 41, True, f"'{'x' * 40}'... (41 characters)"),
+            (-(10**40), False, f"-1{'0' * 38}... (42 characters)"),
+            (10**5000, False, "an integer of 16610 bits"),
+        ],
+        ids=[
+            "at-40-whole",
+            "past-40-clipped",
+            "quoted-short",
+            "quoted-clipped",
+            "negative-int",
+            "beyond-str-digit-limit",
+        ],
+    )
+    def test_clip(self, value, quote, shown):
+        assert errors.clip(value, quote=quote) == shown
 
 
 class TestOutputDigests:
