@@ -208,13 +208,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        return _usage_error(f"cannot write {args.out}: {exc.strerror or exc}")
+        return _usage_error(f"cannot write {clip(args.out)}: {exc.strerror or exc}")
     return 0
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        raise ValueError(f"--max-n must be >= 2 for asymptotics, got {args.max_n}")
     _announce_table(args.max_n)
     rows = asymptotic_report(args.max_n)
     if args.format == "csv":

@@ -20,7 +20,6 @@ the factor exp(-x^3/6) removes the triangle components from ``u``, giving ``l``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
@@ -39,27 +38,25 @@ COMPOSE_CHECK_DEGREE = 24
 _BIVARIATE_SPOT_DEGREE = 8
 
 
-def block_count_series(max_n: int) -> list[list[Fraction]]:
-    """Coefficient grid counting restricted proper 2-covers by block count.
+def block_count_series(max_n: int) -> list[list[int]]:
+    """Restricted proper 2-covers of [n] counted by their number of blocks.
 
-    ``grid[i][j]`` is the coefficient of x^i y^j, where x marks ground-set
-    elements (EGF convention) and y marks blocks, in the literal product
-    exp(-y - x y^2 / 2) times sum_m y^m / m! (1 + x)^C(m, 2).  By the
-    exponential formula the prefactor's x^b y^(a + 2b) coefficient is
-    (-1)^(a+b) / (a! 2^b b!), so every coefficient has the closed form
+    ``grid[n][k]`` counts the covers of [n] with k blocks: n! times the
+    coefficient of x^n y^k, x marking elements (EGF convention) and y
+    blocks, in the literal product exp(-y - x y^2 / 2) times
+    sum_m y^m / m! (1 + x)^C(m, 2).  The prefactor's x^b y^(a + 2b)
+    coefficient is (-1)^(a+b) / (a! 2^b b!) by the exponential formula, and
+    k! / (a! 2^b b! m!) = C(k, m) C(k - m, a) (2b - 1)!!, so a cell is
 
-        [x^i y^j] = sum_b sum_m (-1)^(a+b) C(C(m, 2), i - b) / (a! 2^b b! m!)
+        n!/k! sum_b sum_m (-1)^(a+b) C(k, m) C(k-m, a) (2b-1)!! C(C(m, 2), n-b)
 
-    over b <= i and block counts m with a = j - m - 2b >= 0.  Over j! each
-    weight is the integer j! / (a! 2^b b! m!) = C(j, m) C(j - m, a) (2b - 1)!!,
-    so a cell is summed in integers and divided once.  No step shares the
+    over b <= n and m with a = k - m - 2b >= 0, found by one exact division
+    that raises ConsistencyError on a remainder.  No step shares the
     derangement collapse of restricted_proper_sequence, so the two routes
     check each other.
 
-    The y-truncation at 2 * max_n is exact rather than an approximation:
-    blocks are nonempty and each of the n elements lies in exactly two of
-    them, so a 2-cover of [n] has at most 2n blocks and every discarded
-    y-coefficient is genuinely zero in the x-range kept.
+    The y-truncation at 2 * max_n is exact: a 2-cover of [n] has at most
+    2n blocks, since blocks are nonempty and each element lies in two.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
@@ -67,36 +64,31 @@ def block_count_series(max_n: int) -> list[list[Fraction]]:
     for b in range(1, max_n + 1):
         double_factorials.append(double_factorials[-1] * (2 * b - 1))
     grid = []
-    for i in range(max_n + 1):
+    for n in range(max_n + 1):
         row = []
-        for j in range(2 * max_n + 1):
+        for k in range(2 * max_n + 1):
             total = 0
-            for b in range(min(i, j // 2) + 1):
-                for m in range(j - 2 * b + 1):
-                    a = j - m - 2 * b
+            for b in range(min(n, k // 2) + 1):
+                for m in range(k - 2 * b + 1):
+                    a = k - m - 2 * b
                     total += (
                         (-1) ** (a + b)
-                        * comb(m * (m - 1) // 2, i - b)
-                        * comb(j, m)
-                        * comb(j - m, a)
+                        * comb(m * (m - 1) // 2, n - b)
+                        * comb(k, m)
+                        * comb(k - m, a)
                         * double_factorials[b]
                     )
-            row.append(Fraction(total, factorial(j)))
+            count, remainder = divmod(factorial(n) * total, factorial(k))
+            if remainder:
+                raise ConsistencyError(f"block-count cell n={n}, k={k} is fractional")
+            row.append(count)
         grid.append(row)
     return grid
 
 
-def sequence_from_block_series(grid: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Extract the restricted-proper counts: n! times the x^n row sum."""
-    values = []
-    for n, row in enumerate(grid):
-        total = sum(row, Fraction(0)) * factorial(n)
-        if total.denominator != 1:
-            raise ConsistencyError(
-                f"block-count series row {n} sums to non-integer {total}"
-            )
-        values.append(int(total))
-    return values
+def sequence_from_block_series(grid: Sequence[Sequence[int]]) -> list[int]:
+    """Extract the restricted-proper counts: each row summed over block counts."""
+    return [sum(row) for row in grid]
 
 
 def restricted_proper_sequence(max_n: int) -> list[int]:
@@ -201,30 +193,39 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     its set of incident edges), and the triangle and the three-edge star
     are the classical pair of such graphs with equal line graphs.  A
     triangle component is x^3/3! in the exponential formula, so the factor
-    exp(-x^3/6) removes the triangle components from U(x) = V(x) e^x.  Its
-    two product forms, exp(x - x^3/6) * V(x) and exp(-x^3/6) * V(x) e^x,
-    are integer binomial convolutions of EGF terms, in which -x^3/6 is the
-    sequence 0, 0, 0, -1, and must agree termwise.
+    exp(-x^3/6) removes the triangle components from U(x) = V(x) e^x.  The
+    counts are the one product exp(x - x^3/6) * V(x), checked against
+    exp(-x^3/6) * U(x) as an integer sum over u, the binomial transform of
+    v, that shares no code with PowerSeries:
+
+        l_n = sum_j C(n, 3j) w_j u_(n - 3j),  w_j = (-1)^j (3j)! / (6^j j!),
+
+    where w_j = -C(3j - 1, 2) w_(j-1) counts, with sign, the ways to split
+    3j labels into j triangles.
 
     The result counts restricted covers with no triangle component, one
     per triangle/star exchange class (swap each triangle for its star).
     For n <= 3 this equals the number of labelled line graphs, but from n = 4
     on it overcounts them (66 versus 60 at n = 4): line graphs with small
     components admit further labelled root collisions, such as a pendant
-    edge on a triangle folding into the same diamond two ways.  The
-    brute-force engine counts both quantities separately.
+    edge on a triangle folding into the same diamond two ways.
     """
     degree = v_series.degree
-    x = PowerSeries.x(degree)
-    cubic = PowerSeries.from_sequence([0, 0, 0, -1], degree)
-    direct = (x + cubic).exp() * v_series
-    via_u = cubic.exp() * (v_series * x.exp())
+    line = PowerSeries.from_sequence([0, 1, 0, -1], degree).exp() * v_series
+    u = binomial_transform(v_series.terms)
+    weights = [1]
+    for j in range(1, degree // 3 + 1):
+        weights.append(-comb(3 * j - 1, 2) * weights[-1])
     _require_equal(
-        "line-graph series routes (exp(x - x^3/6) * V vs exp(-x^3/6) * V * e^x)",
-        direct.terms,
-        via_u.terms,
+        "line-graph series routes (exp(x - x^3/6) * V vs exp(-x^3/6) * U"
+        " as an integer sum over u)",
+        line.terms,
+        [
+            sum(comb(n, 3 * j) * weights[j] * u[n - 3 * j] for j in range(n // 3 + 1))
+            for n in range(degree + 1)
+        ],
     )
-    return list(direct.terms)
+    return list(line.terms)
 
 
 class TableRow(NamedTuple):
@@ -290,8 +291,8 @@ def full_table(max_n: int) -> SequenceTable:
     """Compute the five sequences to ``max_n`` with redundant verification.
 
     Four comparisons, each of two routes, raise ConsistencyError at the
-    first disagreement.  Each of v, t, u and s has a route that shares no
-    code with the computation it checks:
+    first disagreement.  Each column has a route that shares no code with
+    the computation it checks:
 
     * v: the derangement collapse against the literal block-count grid
       (n <= 8), and at every n through t, since the Stirling transform is
@@ -300,9 +301,9 @@ def full_table(max_n: int) -> SequenceTable:
       folded into the separated partitions of [2n];
     * u and s: s as the Stirling transform of u against T * Bell EGF,
       whose terms come from the Bell triangle;
-    * l: exp(x - x^3/6) * V against exp(-x^3/6) * V * e^x, and l <= u.
-      Both forms run PowerSeries.exp and __mul__; the route for l that
-      shares no code with them is the exhaustive oracle, up to n = 7.
+    * l: exp(x - x^3/6) * V against exp(-x^3/6) * U as an integer sum
+      over u, which shares no code with PowerSeries (inside
+      line_transform), and l <= u.
 
     Row 0 needs no check of its own: the spot check pins v_0 = 1, and
     every transform and product copies its n = 0 term.

@@ -180,7 +180,7 @@ REFUSALS = {
     ),
     "asymptotics-below-2": (
         "asymptotics --max-n 1",
-        "--max-n must be >= 2 for asymptotics, got 1",
+        "asymptotic reports need max_n >= 2, got 1",
     ),
     "oracle-above-limit": (
         "oracle --n 7",
@@ -323,8 +323,10 @@ class TestTableCommand:
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8") == GOLDEN_TABLE_3
 
-    def test_out_unwritable_path_is_usage_error(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "x.csv"
+    def test_out_unwritable_path_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # A relative path, short enough to be shown whole.
+        monkeypatch.chdir(tmp_path)
+        target = Path("missing", "x.csv")
         assert main(["table", "--max-n", "3", "--out", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -553,7 +555,10 @@ class TestAsymptoticsCommand:
 
     def test_small_max_n_is_usage_error(self, capsys):
         assert main(["asymptotics", "--max-n", "1"]) == 2
-        assert "max-n" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "",
+            "cover-census: error: asymptotic reports need max_n >= 2, got 1\n",
+        )
 
     @pytest.mark.parametrize(
         "max_n, code, err",
@@ -892,6 +897,19 @@ class TestErrorBoundary:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"cover-census: error: {message}\n")
         assert len(err.encode()) < 500
+
+    def test_long_out_path_is_clipped(self, tmp_path, capsys):
+        # A path that cannot be written is shown as every refusal shows a
+        # value: its first 40 characters and its length.
+        target = str(tmp_path / "missing" / ("x" * 5000))
+        assert main(["table", "--max-n", "3", "--out", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.encode()) < 500
+        assert err.startswith(
+            f"cover-census: error: cannot write {target[:40]}..."
+            f" ({len(target)} characters): "
+        )
 
     @pytest.mark.parametrize("name, argv", HANDLER_CALLS.items(), ids=HANDLER_CALLS)
     def test_library_value_error_is_usage_error(self, capsys, monkeypatch, name, argv):

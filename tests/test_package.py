@@ -1,6 +1,7 @@
 """Tests for the package's export list, the README example that uses it,
 the modules the CLI imports, the absence of unused imports and of unused
-private names, and the modules that name the Bell cap."""
+private names, the modules that name the Bell cap, and the formula route's
+integer-only imports."""
 
 import ast
 import subprocess
@@ -155,6 +156,19 @@ def test_oracle_shares_no_code_with_the_formula_route():
     # The exhaustive route checks the formula pipeline, so it must not use it.
     source = (ROOT / "src/cover_census/oracle.py").read_text(encoding="utf-8")
     assert package_imports(source).isdisjoint({"sequences", "series", "asymptotics"})
+
+
+def test_formula_route_imports_no_fractions():
+    # Every count of the formula route is an integer; the block-count grid
+    # divides exactly, cell by cell, and needs no rational type.
+    source = (ROOT / "src/cover_census/sequences.py").read_text(encoding="utf-8")
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "fractions" not in modules
 
 
 def names_read(source):

@@ -2,7 +2,6 @@
 
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
@@ -128,7 +127,7 @@ class TestRestrictedProperSequence:
         assert peak < 200_000
 
     def test_block_count_grid_counts_covers_by_block_count(self):
-        # n! [x^n y^j] is the number of restricted proper 2-covers of [n]
+        # grid[n][j] is the number of restricted proper 2-covers of [n]
         # with j blocks; count those covers exhaustively for n <= 4.
         grid = block_count_series(4)
         for n, row in enumerate(grid):
@@ -138,9 +137,13 @@ class TestRestrictedProperSequence:
                 if cover is not None and _restricted_proper(cover):
                     covers.add(cover)
             by_blocks = Counter(len(cover.blocks) for cover in covers)
-            assert [value * factorial(n) for value in row] == [
-                by_blocks[j] for j in range(len(row))
-            ]
+            assert row == [by_blocks[j] for j in range(len(row))]
+
+    def test_block_count_grid_row_6(self):
+        # The covers of [6] have 4 to 9 blocks; the row sums to v_6 = 8186.
+        row = block_count_series(6)[6]
+        assert row == [0] * 4 + [30, 1230, 3670, 2706, 535, 15] + [0] * 3
+        assert all(isinstance(count, int) for count in row)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -246,11 +249,16 @@ class TestCollisionHistogramRoute:
 
 
 class TestSequenceConsistencyMachinery:
-    def test_sequence_from_block_series_rejects_non_counts(self):
-        # A lone x y / 2 term would make the n = 1 value one half.
-        bad = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
-        with pytest.raises(ConsistencyError):
-            sequence_from_block_series(bad)
+    def test_block_count_grid_rejects_fractional_cell(self, monkeypatch):
+        # Every cell is one exact division by k!; with 3! off by one, the
+        # one cover of [2] with 3 blocks ({1}, {2}, {1, 2}) comes out as
+        # 2! * 3 / 7.
+        original = sequences.factorial
+        monkeypatch.setattr(
+            sequences, "factorial", lambda n: original(n) + (n == 3)
+        )
+        with pytest.raises(ConsistencyError, match="block-count cell n=2, k=3"):
+            block_count_series(4)
 
     @pytest.mark.parametrize("k", range(9))
     def test_spot_check_catches_perturbed_v(self, monkeypatch, k):
@@ -338,6 +346,26 @@ class TestSequenceConsistencyMachinery:
 
         monkeypatch.setattr(sequences, "stirling2", perturbed)
         with pytest.raises(ConsistencyError, match="separated-partition route"):
+            full_table(8)
+
+    @pytest.mark.parametrize(
+        "faulty_exp",
+        [
+            lambda exp, f: PowerSeries(
+                f.degree, tuple((-1) ** n * e for n, e in enumerate(exp(f).terms))
+            ),
+            lambda exp, f: exp(f + f),
+        ],
+        ids=["at-minus-x", "doubled-input"],
+    )
+    def test_line_check_catches_faulty_exp(self, monkeypatch, faulty_exp):
+        # exp evaluated at -x, or at twice its input: the product form of l
+        # changes, and the integer sum over u, which runs no PowerSeries
+        # code, must disagree with it.  Two product forms that both run
+        # exp agree under the first fault.
+        original = PowerSeries.exp
+        monkeypatch.setattr(PowerSeries, "exp", lambda f: faulty_exp(original, f))
+        with pytest.raises(ConsistencyError, match="line-graph series routes.*at n=1:"):
             full_table(8)
 
     def test_ordering_check_catches_l_above_u(self, monkeypatch):
