@@ -164,11 +164,11 @@ def image_collision_bound(n: int) -> Fraction:
 class ReportRow(NamedTuple):
     """One report line: estimators at n, and exact comparisons against them.
 
-    The ``ratio_*`` columns are linear-space quotients exact/estimate;
-    ``ratio_s`` and ``ratio_t`` compare against the cover estimate,
-    ``ratio_u``/``ratio_v``/``ratio_l`` against the restricted estimate,
-    and ``ratio_u_w``/``ratio_v_w``/``ratio_l_w`` against its Lambert-W
-    shape ``est_uvl_w``.
+    ``log_*`` are the logs of the exact counts, and each ``ratio_*`` is a
+    linear-space quotient exact/estimate: ``s`` and ``t`` against the cover
+    estimate ``est_st``; ``u``, ``v`` and ``l`` against the restricted
+    estimate ``est_uvl``, and in ``ratio_*_w`` against its Lambert-W shape
+    ``est_uvl_w``.  ``_JUDGED_BY`` holds this pairing.
     """
 
     n: int
@@ -189,6 +189,14 @@ class ReportRow(NamedTuple):
     ratio_u_w: float
     ratio_v_w: float
     ratio_l_w: float
+
+
+# Each estimate column, its function, its ratios' suffix and the counts it judges.
+_JUDGED_BY = (
+    ("est_st", log_cover_estimate, "", "st"),
+    ("est_uvl", log_restricted_estimate, "", "uvl"),
+    ("est_uvl_w", log_restricted_w, "_w", "uvl"),
+)
 
 
 def report_grid(max_n: int) -> list[int]:
@@ -220,34 +228,14 @@ def asymptotic_report(max_n: int) -> tuple[ReportRow, ...]:
     for n in grid:
         counts = table.row(n)
         log_b = math.log(counts.bell_2n)
-        est_st = log_cover_estimate(n, log_b)
-        est_uvl = log_restricted_estimate(n, log_b)
-        est_uvl_w = log_restricted_w(n, log_b)
-        log_s, log_t, log_u, log_v, log_l = map(
-            math.log, (counts.s, counts.t, counts.u, counts.v, counts.l)
-        )
-        rows.append(
-            ReportRow(
-                n=n,
-                log_bell_2n=log_b,
-                est_st=est_st,
-                est_uvl=est_uvl,
-                est_uvl_w=est_uvl_w,
-                log_s=log_s,
-                log_t=log_t,
-                log_u=log_u,
-                log_v=log_v,
-                log_l=log_l,
-                ratio_s=math.exp(log_s - est_st),
-                ratio_t=math.exp(log_t - est_st),
-                ratio_u=math.exp(log_u - est_uvl),
-                ratio_v=math.exp(log_v - est_uvl),
-                ratio_l=math.exp(log_l - est_uvl),
-                ratio_u_w=math.exp(log_u - est_uvl_w),
-                ratio_v_w=math.exp(log_v - est_uvl_w),
-                ratio_l_w=math.exp(log_l - est_uvl_w),
-            )
-        )
+        logs = {name: math.log(getattr(counts, name)) for name in "stuvl"}
+        columns = {"n": n, "log_bell_2n": log_b}
+        columns.update((f"log_{name}", log) for name, log in logs.items())
+        for estimate, log_estimate, suffix, names in _JUDGED_BY:
+            columns[estimate] = est = log_estimate(n, log_b)
+            for name in names:
+                columns[f"ratio_{name}{suffix}"] = math.exp(logs[name] - est)
+        rows.append(ReportRow(**columns))
     return tuple(rows)
 
 

@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .asymptotics import (
     REPORT_NOTE,
@@ -90,8 +90,25 @@ def _positive(text: str) -> int:
     return value
 
 
+# A value argparse quotes, as repr() writes it; re.sub compiles it on first use.
+_QUOTED = r"""(['"])((?:\\.|(?!\1)[^\\])*)\1"""
+
+
+def _clip_quoted(match: re.Match[str]) -> str:
+    text = match[2]  # a value that clip() shows whole keeps argparse's quotes
+    return match[0] if clip(text) == text else clip(text, quote=True)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Shows each quoted value of its messages through clip(); the
+    subparsers that add_subparsers makes share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(re.sub(_QUOTED, _clip_quoted, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cover-census",
         description="Exact and asymptotic enumeration of 2-covers and line graphs.",
     )

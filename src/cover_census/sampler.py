@@ -209,6 +209,8 @@ def _run_trials(
     with ``stop_at_twin`` passed on, so a wrapper around that name sees
     every draw.
     """
+    if n < 1:
+        raise ValueError(f"sampling needs n >= 1, got {n}")
     size = 2 * n
     rng = random.Random(_mix_seed(config.seed))
     total = 0
@@ -241,8 +243,6 @@ def _indicator_estimate(
 
 def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
     """Estimate the probability that no twin pair of [2n] shares a block."""
-    if n < 1:
-        raise ValueError(f"estimate_separation_probability() needs n >= 1, got {n}")
     # A draw that stops early (None) has merged a twin pair above the tail;
     # the rest are judged whole.
     return _indicator_estimate(
@@ -256,8 +256,6 @@ def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
 
 def estimate_collision_probability(n: int, config: SamplerConfig) -> Estimate:
     """Estimate the probability of at least one folded-block collision."""
-    if n < 1:
-        raise ValueError(f"estimate_collision_probability() needs n >= 1, got {n}")
     return _indicator_estimate(
         n, config, "p-collision", lambda rgs: image_collision_count(rgs, n) > 0
     )
@@ -265,8 +263,6 @@ def estimate_collision_probability(n: int, config: SamplerConfig) -> Estimate:
 
 def estimate_twin_moment(n: int, r: int, config: SamplerConfig) -> Estimate:
     """Estimate the r-th falling-factorial moment of the merged-twin count."""
-    if n < 1:
-        raise ValueError(f"estimate_twin_moment() needs n >= 1, got {n}")
     if not 0 <= r <= n:
         raise ValueError(f"estimate_twin_moment() needs 0 <= r <= n, got r={r}")
     total, total_squares = _run_trials(

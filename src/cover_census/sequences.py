@@ -308,8 +308,6 @@ def full_table(max_n: int) -> SequenceTable:
     Row 0 needs no check of its own: the spot check pins v_0 = 1, and
     every transform and product copies its n = 0 term.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
     if 2 * max_n > DEFAULT_BELL_CAP:
         raise ValueError(
             f"full_table({clip(max_n)}) needs Bell numbers to {clip(2 * max_n)},"

@@ -227,15 +227,25 @@ class TestReport:
                 assert getattr(row, f"log_{name}") == pytest.approx(
                     math.log(getattr(table.row(row.n), name)), rel=1e-14
                 )
-            assert row.ratio_t == pytest.approx(
-                math.exp(row.log_t - row.est_st), rel=1e-12
+            assert (row.est_st, row.est_uvl, row.est_uvl_w) == (
+                log_cover_estimate(row.n, row.log_bell_2n),
+                log_restricted_estimate(row.n, row.log_bell_2n),
+                log_restricted_w(row.n, row.log_bell_2n),
             )
-            assert row.ratio_v == pytest.approx(
-                math.exp(row.log_v - row.est_uvl), rel=1e-12
-            )
-            for name in ("u", "v", "l"):
-                assert getattr(row, f"ratio_{name}_w") == pytest.approx(
-                    math.exp(getattr(row, f"log_{name}") - row.est_uvl_w), rel=1e-12
+            # The paper's pairing, written out apart from the module's.
+            for ratio, log_count, estimate in [
+                ("ratio_s", "log_s", "est_st"),
+                ("ratio_t", "log_t", "est_st"),
+                ("ratio_u", "log_u", "est_uvl"),
+                ("ratio_v", "log_v", "est_uvl"),
+                ("ratio_l", "log_l", "est_uvl"),
+                ("ratio_u_w", "log_u", "est_uvl_w"),
+                ("ratio_v_w", "log_v", "est_uvl_w"),
+                ("ratio_l_w", "log_l", "est_uvl_w"),
+            ]:
+                assert getattr(row, ratio) == pytest.approx(
+                    math.exp(getattr(row, log_count) - getattr(row, estimate)),
+                    rel=1e-12,
                 )
 
     def test_w_shape_sandwiches_v_and_u_to_128(self):

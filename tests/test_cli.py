@@ -244,6 +244,23 @@ HANDLER_CALLS = {
     "_statistic": "sample --n 2 --stat p-x0 --trials 10 --seed 1",
 }
 
+
+def choice_arguments():
+    """The subcommand, and every option with choices of every subcommand,
+    read off build_parser() so that a new one is covered."""
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    arguments = {"command": ()}
+    for command, subparser in commands.choices.items():
+        for action in subparser._actions:
+            if action.choices is not None:
+                option = action.option_strings[0]
+                arguments[f"{command}{option}"] = (command, option)
+    return arguments
+
+
+CHOICE_ARGUMENTS = choice_arguments()
+
 # SHA-256 of stdout, and the whole stderr, of runs whose bytes must not
 # move when the CLI is refactored.  The asymptotics floats come from libm
 # (log, exp), so that digest pins one platform's math library; the others
@@ -872,6 +889,54 @@ class TestErrorBoundary:
         assert (exit_info.value.code, out) == (2, "")
         assert len(err.encode()) < 500
         assert err.splitlines()[-1].endswith(last_line)
+
+    @pytest.mark.parametrize(
+        "value", ["x" * 5000, "it's" + "x" * 4996], ids=["plain", "apostrophe"]
+    )
+    @pytest.mark.parametrize("argv", CHOICE_ARGUMENTS.values(), ids=CHOICE_ARGUMENTS)
+    def test_long_invalid_choice_is_clipped(self, capsys, argv, value):
+        # argparse echoes an invalid choice whole; the parser clips it as
+        # every refusal clips a value.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, value])
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, out) == (2, "")
+        assert len(err.encode()) < 500
+        assert f"invalid choice: {errors.clip(value, quote=True)} (choose from " in err
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (
+                ["table", "--max-n", "1", "--format", "xml"],
+                "cover-census table: error: argument --format: invalid choice:"
+                " 'xml' (choose from 'csv', 'json')",
+            ),
+            (
+                ["asymptotics", "--format", "it's"],
+                "cover-census asymptotics: error: argument --format: invalid"
+                """ choice: "it's" (choose from 'csv', 'json')""",
+            ),
+            (
+                ["sample", "--stat", "y" * 40],
+                "cover-census sample: error: argument --stat: invalid choice:"
+                f" '{'y' * 40}' (choose from 'p-x0', 'moment', 'p-collision')",
+            ),
+            (
+                ["tabl"],
+                "cover-census: error: argument command: invalid choice: 'tabl'"
+                " (choose from 'table', 'oracle', 'asymptotics', 'sample')",
+            ),
+        ],
+        ids=["xml", "apostrophe", "at-40", "command"],
+    )
+    def test_short_invalid_choice_is_shown_whole(self, capsys, argv, last_line):
+        # Up to 40 characters, argparse's own message stands byte for byte.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, out) == (2, "")
+        assert err.endswith(f"\n{last_line}\n")
 
     @pytest.mark.parametrize("command", ["table", "asymptotics"])
     @pytest.mark.parametrize(

@@ -450,11 +450,11 @@ class TestEstimators:
 
     def test_domain_checks(self):
         config = SamplerConfig(trials=10, seed=SEED)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sampling needs n >= 1, got 0"):
             estimate_separation_probability(0, config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sampling needs n >= 1, got 0"):
             estimate_collision_probability(0, config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sampling needs n >= 1, got 0"):
             estimate_twin_moment(0, 0, config)
         with pytest.raises(ValueError):
             estimate_twin_moment(3, 4, config)

@@ -226,7 +226,8 @@ class TestFullTable:
         assert [small.row(n) for n in range(13)] == [large.row(n) for n in range(13)]
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        # restricted_proper_sequence, full_table's first call, refuses it.
+        with pytest.raises(ValueError, match=r"^max_n must be >= 0, got -1$"):
             full_table(-1)
 
     def test_bell_cap_respected(self):
