@@ -68,6 +68,8 @@ _ANNOUNCE_ABOVE_ELEMENTS = 10**8
 
 
 def _nonnegative(text: str) -> int:
+    """Read a count.  A refusal shows the text stripped, as int() read it,
+    so the parser's rule for runs without a space bounds it."""
     try:
         value = int(text)
     except ValueError as exc:
@@ -75,36 +77,39 @@ def _nonnegative(text: str) -> int:
         if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             digits = sum(c.isdecimal() for c in text)
             raise argparse.ArgumentTypeError(f"too large: {digits} digits") from exc
-        raise argparse.ArgumentTypeError(
-            f"not an integer: {clip(text, quote=True)}"
-        ) from exc
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {clip(text)}")
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text.strip()}")
     return value
 
 
 def _positive(text: str) -> int:
     value = _nonnegative(text)
     if value == 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {clip(text)}")
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text.strip()}")
     return value
 
 
-# A value argparse quotes, as repr() writes it; re.sub compiles it on first use.
-_QUOTED = r"""(['"])((?:\\.|(?!\1)[^\\])*)\1"""
+# A value quoted as repr() writes it, or any other run without a space;
+# re.sub compiles it on first use.
+_VALUE = r"""(['"])((?:\\.|(?!\1)[^\\])*)\1|\S+"""
 
 
-def _clip_quoted(match: re.Match[str]) -> str:
-    text = match[2]  # a value that clip() shows whole keeps argparse's quotes
+def _clip_value(match: re.Match[str]) -> str:
+    text = match[2]
+    if text is None:  # an unquoted run, such as an unrecognized argument
+        return clip(match[0])
+    # A value that clip() shows whole keeps its quotes as repr() wrote them.
     return match[0] if clip(text) == text else clip(text, quote=True)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Shows each quoted value of its messages through clip(); the
-    subparsers that add_subparsers makes share the class."""
+    """Shows each value of its messages through clip(): one quoted by
+    repr(), or any other run without a space.  The subparsers that
+    add_subparsers makes share the class."""
 
     def error(self, message: str) -> NoReturn:
-        super().error(re.sub(_QUOTED, _clip_quoted, message))
+        super().error(re.sub(_VALUE, _clip_value, message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +185,6 @@ def _csv(header: Sequence[str], rows: Iterable, comment: str | None = None) -> s
     buffer = io.StringIO()
     if comment is not None:
         buffer.write(f"# {comment}\n")
-    # csv writes None as an empty field.
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -364,20 +368,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # a sample whose own spread is zero cannot make it vanish.
     difference = result.estimate - float(exact)
     try:
-        spread = math.sqrt(float(variance) / result.trials)
+        spread = math.sqrt(float(variance) / args.trials)
     except OverflowError:
         # A moment's variance can outgrow a float; the squared score cannot.
-        squared = Fraction(difference) ** 2 * result.trials / variance
+        squared = Fraction(difference) ** 2 * args.trials / variance
         z_score = math.copysign(math.sqrt(squared), difference)
     else:
         # The variance is zero only for r = 0, where every draw is exactly 1.
         z_score = difference / spread if spread else 0.0
     record = {
-        "n": result.n,
-        "stat": result.statistic,
+        "n": args.n,
+        "stat": args.stat,
         "r": args.r,
-        "trials": result.trials,
-        "seed": result.seed,
+        "trials": args.trials,
+        "seed": args.seed,
         "estimate": result.estimate,
         "std_error": result.std_error,
         "exact": float(exact),

@@ -195,17 +195,6 @@ def classify_partition(partition: SetPartition, n: int) -> PartitionClassificati
     )
 
 
-def _check_oracle_size(n: int, limit: int | None) -> None:
-    cap = DEFAULT_ORACLE_LIMIT if limit is None else limit
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > cap:
-        raise ValueError(
-            f"oracle at n={n} would scan Bell({2 * n}) partitions, above the"
-            f" limit {cap}"
-        )
-
-
 def _add_separated(
     out: dict[tuple[int, ...], int], masks: tuple[int, ...], count: int, bit: int
 ) -> None:
@@ -418,7 +407,7 @@ def _census(n: int) -> OracleCensus:
     )
 
 
-def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
+def oracle_counts(n: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> OracleCensus:
     """Count 2-covers of [n] by exhausting partitions of [2n].
 
     Raises ConsistencyError at the first identity of the scan that fails:
@@ -429,7 +418,13 @@ def oracle_counts(n: int, *, limit: int | None = None) -> OracleCensus:
     collision histogram, so they need no check of their own.  The record is
     computed once per n and shared by every later call.
     """
-    _check_oracle_size(n, limit)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n > limit:
+        raise ValueError(
+            f"oracle at n={n} would scan Bell({2 * n}) partitions, above the"
+            f" limit {limit}"
+        )
     return _census(n)
 
 
@@ -444,13 +439,13 @@ class FiberCheck(NamedTuple):
         return not self.mismatches
 
 
-def fiber_check(n: int, *, limit: int | None = None) -> FiberCheck:
+def fiber_check(n: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> FiberCheck:
     """Count the covers; oracle_counts raises first on a cover without
     2^(n - duplicate pairs) preimages, so ``mismatches`` is always ()."""
     return FiberCheck(covers=oracle_counts(n, limit=limit).s, mismatches=())
 
 
-def oracle_line_count(n: int, *, limit: int | None = None) -> int:
+def oracle_line_count(n: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Count distinct labelled line graphs among restricted covers of [n].
 
     A restricted cover gives the graph on [n] that joins two elements when
@@ -466,7 +461,7 @@ def oracle_line_count(n: int, *, limit: int | None = None) -> int:
     return oracle_counts(n, limit=limit).line_graphs
 
 
-def oracle_line_class_count(n: int, *, limit: int | None = None) -> int:
+def oracle_line_class_count(n: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Count restricted covers of [n] with no triangle component.
 
     A triangle component (three two-element blocks on three elements) and

@@ -75,12 +75,8 @@ class SamplerConfig(namedtuple("SamplerConfig", "trials seed")):
 
 
 class Estimate(NamedTuple):
-    """A Monte Carlo estimate with its standard error and provenance."""
+    """A Monte Carlo estimate with its standard error."""
 
-    n: int
-    statistic: str
-    trials: int
-    seed: int
     estimate: float
     std_error: float
 
@@ -225,20 +221,12 @@ def _run_trials(
 def _indicator_estimate(
     n: int,
     config: SamplerConfig,
-    statistic: str,
     event: Callable[[Sequence[int] | None], bool],
     stop_at_twin: bool = False,
 ) -> Estimate:
     hits, _ = _run_trials(n, config, event, stop_at_twin)  # a bool sums as 0 or 1
     p = hits / config.trials
-    return Estimate(
-        n=n,
-        statistic=statistic,
-        trials=config.trials,
-        seed=config.seed,
-        estimate=p,
-        std_error=math.sqrt(p * (1.0 - p) / config.trials),
-    )
+    return Estimate(p, math.sqrt(p * (1.0 - p) / config.trials))
 
 
 def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
@@ -248,7 +236,6 @@ def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
     return _indicator_estimate(
         n,
         config,
-        "p-x0",
         lambda rgs: rgs is not None and merged_twin_count(rgs, n) == 0,
         stop_at_twin=True,
     )
@@ -256,9 +243,7 @@ def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
 
 def estimate_collision_probability(n: int, config: SamplerConfig) -> Estimate:
     """Estimate the probability of at least one folded-block collision."""
-    return _indicator_estimate(
-        n, config, "p-collision", lambda rgs: image_collision_count(rgs, n) > 0
-    )
+    return _indicator_estimate(n, config, lambda rgs: image_collision_count(rgs, n) > 0)
 
 
 def estimate_twin_moment(n: int, r: int, config: SamplerConfig) -> Estimate:
@@ -275,11 +260,4 @@ def estimate_twin_moment(n: int, r: int, config: SamplerConfig) -> Estimate:
         std_error = math.sqrt(max(variance, 0.0) / trials)
     else:
         std_error = 0.0
-    return Estimate(
-        n=n,
-        statistic="moment",
-        trials=trials,
-        seed=config.seed,
-        estimate=mean,
-        std_error=std_error,
-    )
+    return Estimate(mean, std_error)

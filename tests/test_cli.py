@@ -265,6 +265,10 @@ CHOICE_ARGUMENTS = choice_arguments()
 # move when the CLI is refactored.  The asymptotics floats come from libm
 # (log, exp), so that digest pins one platform's math library; the others
 # hold exact integers or correctly rounded floats.
+TRENDS_64 = (
+    "trend ratio_t: |ratio-1| 0.2573 at n=4 -> 0.1402 at n=64: PASS\n"
+    "trend ratio_v: |ratio-1| 0.2835 at n=4 -> 0.0398 at n=64: PASS\n"
+)
 OUTPUT_DIGESTS = {
     "table --max-n 40": (
         "0682540e5d6083195d600fbed1169c4c371f520908840d33ecde9b483f3516fe",
@@ -276,8 +280,16 @@ OUTPUT_DIGESTS = {
     ),
     "asymptotics --max-n 64": (
         "a91b04d588cb9a5da2f81b1154af908dcfe902d6740c92c9c93d9092be9b483f",
-        "trend ratio_t: |ratio-1| 0.2573 at n=4 -> 0.1402 at n=64: PASS\n"
-        "trend ratio_v: |ratio-1| 0.2835 at n=4 -> 0.0398 at n=64: PASS\n",
+        TRENDS_64,
+    ),
+    "asymptotics --max-n 64 --format json": (
+        "a0f41735eea4429bcd169528a5b324ed8ab23457688006d89dc37300422801e7",
+        TRENDS_64,
+    ),
+    # The sample-6 workload of the benchmark, which checks only some fields.
+    "sample --n 6 --stat p-x0 --trials 25000 --seed 1": (
+        "5b89fc5edc941ce53deb9a8ac30d310a413ec77b77a1de50a6b8003bdb9b70a3",
+        "",
     ),
     "sample --n 6 --stat p-collision --trials 2000 --seed 1": (
         "03af44570cce5b51ebbfe824df9171e1b60866a18a8b9cdc10962c868f925300",
@@ -811,7 +823,7 @@ class TestSampleCommand:
         # 97656 draws from [1024] are 99999744 elements, one more is above 10^8.
         # The zeroth moment is exactly 1, so a stub estimate of 1 passes.
         def estimate(n, r, config):
-            return Estimate(n, "moment", config.trials, config.seed, 1.0, 0.0)
+            return Estimate(1.0, 0.0)
 
         monkeypatch.setattr(cli, "estimate_twin_moment", estimate)
         argv = ["sample", "--n", "512", "--stat", "moment", "--r", "0"]
@@ -879,8 +891,25 @@ class TestErrorBoundary:
                 ["sample", "--n", "0" * 4000, "--stat", "p-x0", "--trials", "10"],
                 f"argument --n: must be >= 1: {'0' * 40}... (4000 characters)",
             ),
+            (
+                ["table", "--max-n", "-1" + " " * 5000],
+                "argument --max-n: must be >= 0: -1",
+            ),
+            # argparse quotes neither of these: the parser clips any run
+            # of more than 40 characters without a space.
+            (
+                ["table", "--max-n", "1", "z" * 5000],
+                f"unrecognized arguments: {'z' * 40}... (5000 characters)",
+            ),
+            (
+                ["sample", "--s=" + "z" * 5000],
+                f"ambiguous option: --s={'z' * 36}... (5004 characters)"
+                " could match --stat, --seed",
+            ),
         ],
-        ids=["not-an-integer", "negative", "zero"],
+        ids=[
+            "not-an-integer", "negative", "zero", "padded", "unrecognized", "ambiguous"
+        ],
     )
     def test_long_argument_is_clipped(self, capsys, argv, last_line):
         with pytest.raises(SystemExit) as exit_info:
@@ -927,8 +956,12 @@ class TestErrorBoundary:
                 "cover-census: error: argument command: invalid choice: 'tabl'"
                 " (choose from 'table', 'oracle', 'asymptotics', 'sample')",
             ),
+            (
+                ["table", "--max-n", "1", "zz"],
+                "cover-census: error: unrecognized arguments: zz",
+            ),
         ],
-        ids=["xml", "apostrophe", "at-40", "command"],
+        ids=["xml", "apostrophe", "at-40", "command", "unrecognized"],
     )
     def test_short_invalid_choice_is_shown_whole(self, capsys, argv, last_line):
         # Up to 40 characters, argparse's own message stands byte for byte.

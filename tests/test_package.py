@@ -1,7 +1,7 @@
 """Tests for the package's export list, the README example that uses it,
 the modules the CLI imports, the absence of unused imports and of unused
-private names, the modules that name the Bell cap, and the formula route's
-integer-only imports."""
+private names, the modules that name the Bell cap and the ``--stat``
+choices, and the formula route's integer-only imports."""
 
 import ast
 import subprocess
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cover_census
+from cover_census import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -202,3 +203,62 @@ def test_bell_cap_is_named_by_the_size_rule_modules_only():
         if "DEFAULT_BELL_CAP" in names_read(path.read_text(encoding="utf-8"))
     }
     assert naming == {"combinatorics", "sequences", "cli"}
+
+
+def string_constants(source):
+    """Every string constant of a module outside its docstrings, f-string
+    parts included."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+    }
+
+
+def stat_choices():
+    """The ``--stat`` choices of ``sample``, read off build_parser()."""
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions if action.dest == "command"]
+    (stat,) = [
+        action
+        for action in commands.choices["sample"]._actions
+        if action.dest == "stat"
+    ]
+    return set(stat.choices)
+
+
+SAMPLER = ROOT / "src/cover_census/sampler.py"
+
+
+def test_string_constant_check_sees_one():
+    # sampler.py with the name its separation estimator passed on put back.
+    source = SAMPLER.read_text(encoding="utf-8")
+    event = "        lambda rgs: rgs is not None"
+    assert source.count(event) == 1
+    source = source.replace(event, '        "p-x0",\n' + event)
+    assert string_constants(source) & stat_choices() == {"p-x0"}
+
+
+def test_stat_choices_are_named_by_the_cli_only():
+    # The CLI echoes the request, so no estimator names its statistic: a
+    # new one adds a --stat choice and a branch in cli.py only.
+    choices = stat_choices()
+    naming = {
+        path.stem
+        for path in PACKAGE
+        if string_constants(path.read_text(encoding="utf-8")) & choices
+    }
+    assert naming == {"cli"}
