@@ -96,9 +96,15 @@ _VALUE = r"""(['"])((?:\\.|(?!\1)[^\\])*)\1|\S+"""
 
 
 def _clip_value(match: re.Match[str]) -> str:
-    text = match[2]
-    if text is None:  # an unquoted run, such as an unrecognized argument
+    if match[2] is None:  # an unquoted run, such as an unrecognized argument
         return clip(match[0])
+    import ast  # only on a usage error: at the top it costs every run ~2 ms
+    import contextlib
+    import warnings
+    text = match[2]  # kept as written if the user, not repr(), quoted it
+    with warnings.catch_warnings(), contextlib.suppress(SyntaxError):
+        warnings.simplefilter("error")  # so an escape repr() never writes fails
+        text = ast.literal_eval(match[0])
     # A value that clip() shows whole keeps its quotes as repr() wrote them.
     return match[0] if clip(text) == text else clip(text, quote=True)
 

@@ -21,13 +21,10 @@ Once at most _TAIL = 7 elements remain, the rest is read from a table:
 with the same decode, ``_tails[m]`` from ``_tails[m - k]``.
 
 ``p-x0`` asks only whether some twin pair {j, j + n} of [2n] shares a
-block, so its draws stop early: with ``stop_at_twin`` the decode returns
-None at the first element it places in the block of its twin.  At n = 100
-that happens in about 86% of draws, on average once 30% of the elements
-are placed.  The rank is drawn whole before the decode starts, so the
-random stream is the same with or without ``stop_at_twin``, and a draw
-that gets through is the full growth string, judged by
-``merged_twin_count`` as before.
+block, so with ``stop_at_twin`` the decode returns None at the first
+element it places in the block of its twin, the last 7 elements included:
+None exactly when a twin pair shares a block.  The rank is drawn whole
+before the decode starts, so the random stream is the same either way.
 """
 
 from __future__ import annotations
@@ -116,11 +113,11 @@ def _unrank(
     at most _TAIL elements remain, then read their labels from _tails.
 
     With ``stop_at_twin``, return None at the first element placed in the
-    block of its twin, ``half = size // 2`` away.  ``labels[element - half]``
-    is the twin of either half, since a negative index counts back from
-    ``size``.  Labels start at -1, so an unplaced twin never matches; without
-    ``stop_at_twin``, half is 0 and the check reads the element's own label,
-    still -1, so the same loop decodes the full draw.
+    block of its twin: None exactly when a twin pair shares a block, the
+    last 7 elements included.  The twin is ``labels[element - half]`` with
+    ``half = size // 2``, a negative index counting back from ``size``.
+    Labels start at -1, so an unplaced twin never matches; without the flag
+    half is 0, and the check reads the element's own label, still -1.
     """
     if not size:
         return ()
@@ -164,6 +161,8 @@ def _unrank(
         if m <= _TAIL:
             break
     for element, offset in zip(remaining, _tails[m][rank]):
+        if labels[element - half] == label + offset:
+            return None
         labels[element] = label + offset
     return tuple(labels)
 
@@ -178,15 +177,12 @@ def sample_partition(
     the block label of element i + 1, labels in order of first use, as in
     ``SetPartition.rgs``.
 
-    With ``stop_at_twin`` and ``size = 2n``, the decode stops and returns
-    None once a block above the tail holds a twin pair {j, j + n}; a draw
-    that gets through returns its growth string, which may still merge a
-    pair inside the tail.  The rank is drawn first either way, so the
-    stream of ranks is the same.
+    With ``stop_at_twin`` and ``size = 2n``, return None exactly when a
+    twin pair {j, j + n} shares a block, the last 7 elements included, so
+    every draw returned is separated.  The rank is drawn first either way,
+    so the stream of ranks is the same.
     """
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    rank = rng.randrange(bell(size))  # bell rejects a size above its cap
+    rank = rng.randrange(bell(size))  # bell refuses size < 0 or above its cap
     if not _tails:
         for m in range(_TAIL + 1):
             _tails.append([_unrank(m, r) for r in range(bell(m))])
@@ -231,12 +227,11 @@ def _indicator_estimate(
 
 def estimate_separation_probability(n: int, config: SamplerConfig) -> Estimate:
     """Estimate the probability that no twin pair of [2n] shares a block."""
-    # A draw that stops early (None) has merged a twin pair above the tail;
-    # the rest are judged whole.
+    # None exactly when a twin pair shares a block, the last 7 elements included.
     return _indicator_estimate(
         n,
         config,
-        lambda rgs: rgs is not None and merged_twin_count(rgs, n) == 0,
+        lambda rgs: rgs is not None,
         stop_at_twin=True,
     )
 

@@ -906,9 +906,22 @@ class TestErrorBoundary:
                 f"ambiguous option: --s={'z' * 36}... (5004 characters)"
                 " could match --stat, --seed",
             ),
+            # The value is clipped, not repr()'s escapes of it: 90 characters,
+            # of which the first 40 are shown quoted.
+            (
+                ["table", "--max-n", "1", "--format", "a\\b" * 30],
+                "argument --format: invalid choice: '" + "a\\\\b" * 13 + "a'..."
+                " (90 characters) (choose from 'csv', 'json')",
+            ),
         ],
         ids=[
-            "not-an-integer", "negative", "zero", "padded", "unrecognized", "ambiguous"
+            "not-an-integer",
+            "negative",
+            "zero",
+            "padded",
+            "unrecognized",
+            "ambiguous",
+            "escaped",
         ],
     )
     def test_long_argument_is_clipped(self, capsys, argv, last_line):
@@ -960,8 +973,14 @@ class TestErrorBoundary:
                 ["table", "--max-n", "1", "zz"],
                 "cover-census: error: unrecognized arguments: zz",
             ),
+            # 36 characters, which repr() writes in 48.
+            (
+                ["table", "--max-n", "1", "--format", "a\\b" * 12],
+                "cover-census table: error: argument --format: invalid choice:"
+                " '" + "a\\\\b" * 12 + "' (choose from 'csv', 'json')",
+            ),
         ],
-        ids=["xml", "apostrophe", "at-40", "command", "unrecognized"],
+        ids=["xml", "apostrophe", "at-40", "command", "unrecognized", "escaped-36"],
     )
     def test_short_invalid_choice_is_shown_whole(self, capsys, argv, last_line):
         # Up to 40 characters, argparse's own message stands byte for byte.
@@ -970,6 +989,26 @@ class TestErrorBoundary:
         out, err = capsys.readouterr()
         assert (exit_info.value.code, out) == (2, "")
         assert err.endswith(f"\n{last_line}\n")
+
+    def test_quotes_repr_would_not_write_are_shown_as_written(self):
+        # Arguments quoted by the user, with escapes repr() never writes,
+        # are not read back as values: no traceback, and no warning even
+        # with every warning shown.
+        result = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "cover_census"]
+            + ["table", "--max-n", "1", "'\\q'", "'\\x'", "'" + "z" * 50 + "'"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        usage, error = result.stderr.splitlines()
+        assert usage.startswith("usage: cover-census ")
+        assert error == (
+            "cover-census: error: unrecognized arguments: '\\q' '\\x' '"
+            + "z" * 40
+            + "'... (50 characters)"
+        )
 
     @pytest.mark.parametrize("command", ["table", "asymptotics"])
     @pytest.mark.parametrize(

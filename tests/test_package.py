@@ -1,7 +1,8 @@
 """Tests for the package's export list, the README example that uses it,
 the modules the CLI imports, the absence of unused imports and of unused
 private names, the modules that name the Bell cap and the ``--stat``
-choices, and the formula route's integer-only imports."""
+choices, the sampler's one reader of the merged-twin count, and the
+formula route's integer-only imports."""
 
 import ast
 import subprocess
@@ -42,19 +43,29 @@ def test_readme_library_section_matches_exports():
     exec(code, {"__name__": "readme_library"})
 
 
-def test_cli_import_skips_dataclasses():
-    # The records are named tuples: importing dataclasses, with the inspect
-    # module it loads, and building the records was about half of every
-    # command's import time.
+def cli_import_loads(module):
+    """Whether a fresh ``python -S`` loads ``module`` to import the CLI."""
     package_parent = str(Path(cover_census.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {package_parent!r}); "
-        "import cover_census.cli; print('dataclasses' in sys.modules)"
+        f"import cover_census.cli; print({module!r} in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    return result.stdout == "True\n"
+
+
+def test_cli_import_skips_dataclasses():
+    # The records are named tuples: importing dataclasses, with the inspect
+    # module it loads, and building the records was about half of every
+    # command's import time.
+    assert not cli_import_loads("dataclasses")
+
+
+def test_cli_import_skips_ast():
+    # Only a usage error reads a quoted value back, so ast is imported there.
+    assert not cli_import_loads("ast")
 
 
 def unused_imports(source):
@@ -262,3 +273,38 @@ def test_stat_choices_are_named_by_the_cli_only():
         if string_constants(path.read_text(encoding="utf-8")) & choices
     }
     assert naming == {"cli"}
+
+
+def functions_loading(source, name):
+    """The top-level functions of a module that load ``name``, with None
+    for a load outside every function."""
+    found = set()
+    for statement in ast.parse(source).body:
+        owner = statement.name if isinstance(statement, ast.FunctionDef) else None
+        found.update(
+            owner
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name)
+            and node.id == name
+            and isinstance(node.ctx, ast.Load)
+        )
+    return found
+
+
+def test_sampler_counts_merged_twins_in_the_moment_only():
+    # A p-x0 draw is None exactly when a twin pair shares a block, so the
+    # separation estimator never counts merged pairs again.
+    source = SAMPLER.read_text(encoding="utf-8")
+    assert functions_loading(source, "merged_twin_count") == {"estimate_twin_moment"}
+
+
+def test_loading_check_sees_a_second_reader():
+    # sampler.py with the separation estimator judging each draw again.
+    source = SAMPLER.read_text(encoding="utf-8")
+    event = "        lambda rgs: rgs is not None"
+    assert source.count(event) == 1
+    source = source.replace(event, event + " and merged_twin_count(rgs, n) == 0")
+    assert functions_loading(source, "merged_twin_count") == {
+        "estimate_separation_probability",
+        "estimate_twin_moment",
+    }

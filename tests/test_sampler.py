@@ -47,7 +47,7 @@ class TestSamplePartition:
         assert sample_partition(0, random.Random(0)) == ()
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative n, got -1"):
             sample_partition(-1, random.Random(0))
 
     def test_bell_cap_respected(self):
@@ -186,21 +186,6 @@ def _reference_decode(size, rank):
     return tuple(labels)
 
 
-def _merged_above_tail(rgs, n):
-    """Reference: whether a block split off above the tail holds a twin pair.
-
-    The decode splits blocks off in label order until at most _TAIL
-    elements are left, and always splits at least one.
-    """
-    sizes = [rgs.count(label) for label in range(max(rgs) + 1)]
-    left = len(rgs)
-    split = 0
-    while split == 0 or left > sampler._TAIL:
-        left -= sizes[split]
-        split += 1
-    return any(rgs[j] == rgs[j + n] < split for j in range(n))
-
-
 class TestTwinExit:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_rank_gives_the_full_verdict(self, n):
@@ -210,10 +195,10 @@ class TestTwinExit:
         for rank in range(bell(size)):
             full = _unrank(size, rank)
             early = _unrank(size, rank, stop_at_twin=True)
+            merged = merged_twin_count(full, n) > 0
+            assert (early is None) == merged
             assert early is None or early == full
-            verdict = early is not None and merged_twin_count(early, n) == 0
-            assert verdict == (merged_twin_count(full, n) == 0)
-            separated += verdict
+            separated += not merged
         assert separated == separation_probability(n) * bell(size)
 
     @pytest.mark.parametrize("size", [12, 16, 40, 200])
@@ -232,10 +217,7 @@ class TestTwinExit:
             early.append(sample_partition(size, rng, stop_at_twin=True))
         for rank, draw in zip(ranks, early):
             full = _reference_decode(size, rank)
-            if _merged_above_tail(full, n):
-                assert draw is None
-            else:
-                assert draw == full
+            assert draw == (None if merged_twin_count(full, n) else full)
         # Both outcomes occur at every size tested.
         assert None in early
         assert any(draw is not None for draw in early)
