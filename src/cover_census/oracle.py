@@ -195,60 +195,43 @@ def classify_partition(partition: SetPartition, n: int) -> PartitionClassificati
     )
 
 
-def _add_separated(
-    out: dict[tuple[int, ...], int], masks: tuple[int, ...], count: int, bit: int
-) -> None:
-    """Add to ``out`` the outcomes that split a twin pair with bit ``bit``.
-
-    ``masks`` is a sorted state with ``count`` partial partitions, and
-    ``bit`` is above every bit in it.  Both elements open new blocks, or
-    one opens a block and the other joins block p, or they join blocks
-    p < q.  Swapping the twins gives a second partition with the same
-    masks unless both blocks are new, hence the weight 2 * count.  The
-    masks without ``bit`` stay sorted when sliced, and the masks with it
-    are the largest, so each key is sorted as built.
-    """
-    twice = 2 * count
-    key = masks + (bit, bit)
-    out[key] = out.get(key, 0) + count
-    for p, mask in enumerate(masks):
-        rest = masks[:p] + masks[p + 1 :]
-        joined = mask | bit
-        key = rest + (bit, joined)
-        out[key] = out.get(key, 0) + twice
-        for q in range(p, len(rest)):
-            key = rest[:q] + rest[q + 1 :] + (joined, rest[q] | bit)
-            out[key] = out.get(key, 0) + twice
-
-
 def _place_pair(
     layer: dict[tuple[int, ...], int], bit: int
 ) -> dict[tuple[int, ...], int]:
     """Place one element and its twin, both with folded bit ``bit``.
 
     Merged outcomes put both in a new block or both in block p, each with
-    the state's count; ``_add_separated`` adds the rest.
+    the state's count.  Split outcomes put them in two new blocks, a new
+    block and block p, or blocks p < q; swapping the twins gives a second
+    partition with the same masks unless both blocks are new, hence the
+    weight 2 * count.  The masks without ``bit`` stay sorted when sliced,
+    and the masks with it are the largest, so each key is sorted as built.
     """
     out: dict[tuple[int, ...], int] = {}
     for masks, count in layer.items():
+        twice = 2 * count
         key = masks + (bit,)
         out[key] = out.get(key, 0) + count
+        key = key + (bit,)
+        out[key] = out.get(key, 0) + count
         for p, mask in enumerate(masks):
-            key = masks[:p] + masks[p + 1 :] + (mask | bit,)
+            rest = masks[:p] + masks[p + 1 :]
+            joined = mask | bit
+            key = rest + (joined,)
             out[key] = out.get(key, 0) + count
-        _add_separated(out, masks, count, bit)
+            key = rest + (bit, joined)
+            out[key] = out.get(key, 0) + twice
+            for q in range(p, len(rest)):
+                key = rest[:q] + rest[q + 1 :] + (joined, rest[q] | bit)
+                out[key] = out.get(key, 0) + twice
     return out
 
 
-def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]]:
+def _full_scan(n: int) -> tuple[tuple[int, ...], int, Iterator[tuple]]:
     """Scan all partitions of [2n] once.
 
-    Returns (merged-twin histogram, image-distinct count, fiber map from
-    folded cover to preimage count).  The fiber map keys are sorted tuples
-    of block bit masks; it holds every separated partition, so its counts
-    sum to the histogram's first entry.
-
-    The scan is a forward pass over the n twin pairs, keeping one count
+    Returns (merged-twin histogram, image-distinct count, covers).  The
+    scan is a forward pass over the n twin pairs, keeping one count
     per multiset of folded block masks.  Step j places element j and its
     twin j + n together; both carry bit j - 1, which is above every bit
     already placed, so what can still happen to a partial partition
@@ -258,29 +241,38 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
     element without its twin.
 
     The last pair is counted once per state of the layer before it, in
-    closed form.  A state of L masks with x merged twins gives L + 1
-    partitions with x + 1 (both in a new block or both in one block) and
-    L^2 + L + 1 with x (split).  Its folded blocks end pairwise distinct
+    closed form.  A state of L masks with m merged twins gives L + 1
+    partitions with m + 1 (both in a new block or both in one block) and
+    L^2 + L + 1 with m (split).  Its folded blocks end pairwise distinct
     in (L + 1)^2 ways if its masks are distinct, 4L - 2 ways if one mask
     repeats once, 8 ways if two masks repeat once each, and never
     otherwise: the masks the pair leaves alone keep their repeats, and
     the blocks it joins can break at most two.  No mask occurs three
     times, since masks are nonzero and every placed bit lies in at most
-    two blocks, so two repeats always mean two masks.  The fiber keys are
-    the split outcomes of the states with x = 0, built by the same
-    ``_add_separated`` as every other step.  ``enumerate_partitions``
-    with ``classify_partition`` is the independent, set-based route that
-    checks this pass leaf by leaf.
+    two blocks, so two repeats always mean two masks.
+
+    ``covers`` lazily lists each 2-cover of [n] once, as (state, x, y,
+    preimages, duplicates, line_graph): a state with m = 0 and the mask
+    values x <= y its last twins join, 0 for a new block (``_cover_masks``
+    gives the blocks).  The weights are count for two new blocks,
+    2 * count * mult(y) for a new block and y, 2 * count * mult(x) *
+    mult(y) for x < y, and 2 * count for both copies of a repeated x; the
+    2 is the twin swap.  Removing the bit from a cover's masks gives back
+    its state, so no cover is listed twice.  ``line_graph`` is the union
+    of the blocks' edge sets (one bit per pair of elements) if they are
+    disjoint, that is if the cover is restricted, else None; the pair adds
+    only edges to its bit, which clash exactly when x & y != 0.
+    ``classify_partition`` checks this pass leaf by leaf, independently
+    and set by set.
     """
     if n == 0:  # the empty partition, separated, folds to the empty cover
-        return (1,), 1, {(): 1}
+        return (1,), 1, iter([((), 0, 0, 1, 0, 0)])
     twin_histogram = [0] * (n + 1)
-    fibers: dict[tuple[int, ...], int] = {}
+    states = []
     image_distinct = 0
     layer = {(): 1}
     for j in range(n - 1):
         layer = _place_pair(layer, 1 << j)
-    bit = 1 << (n - 1)
     for masks, count in layer.items():
         size = len(masks)
         merged = 2 * n - 2 - sum(map(int.bit_count, masks))
@@ -294,8 +286,47 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, dict[tuple[int, ...], int]
         elif repeats == 2:
             image_distinct += 8 * count
         if merged == 0:
-            _add_separated(fibers, masks, count, bit)
-    return tuple(twin_histogram), image_distinct, fibers
+            states.append((masks, count))
+    return tuple(twin_histogram), image_distinct, _last_pair_covers(states, n)
+
+
+def _last_pair_covers(states: list, n: int) -> Iterator[tuple]:
+    """List the covers the last pair makes from ``states``; see ``_full_scan``."""
+    bit = 1 << (n - 1)
+    edge_sets = [
+        sum(1 << (a * n + b) for a, b in combinations(_mask_block(mask, n), 2))
+        for mask in range(1 << n)
+    ]
+    for state, count in states:
+        mult: dict[int, int] = {}
+        graph = 0
+        for mask in state:
+            mult[mask] = mult.get(mask, 0) + 1
+            if graph is not None:
+                graph = None if graph & edge_sets[mask] else graph | edge_sets[mask]
+        repeats = len(state) - len(mult)
+        yield state, 0, 0, count, repeats + 1, graph
+        values = list(mult.items())
+        for i, (x, mx) in enumerate(values):
+            x_graph = None if graph is None else graph | edge_sets[x | bit]
+            weight = 2 * count * mx
+            dup = repeats - (mx == 2)
+            yield state, 0, x, weight, dup, x_graph
+            if mx == 2:
+                yield state, x, x, 2 * count, repeats, None
+            for y, my in values[i + 1 :]:
+                clash = x_graph is None or x & y
+                line_graph = None if clash else x_graph | edge_sets[y | bit]
+                yield state, x, y, weight * my, dup - (my == 2), line_graph
+
+
+def _cover_masks(state: tuple[int, ...], x: int, y: int, n: int) -> list[int]:
+    """The sorted block masks of the cover listed as (state, x, y, ...)."""
+    masks = list(state)
+    for mask in (x, y):
+        if mask:
+            masks.remove(mask)
+    return masks + [x | 1 << (n - 1), y | 1 << (n - 1)] if n else masks
 
 
 def _mask_block(mask: int, n: int) -> tuple[int, ...]:
@@ -332,8 +363,8 @@ class OracleCensus(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> OracleCensus:
-    """Scan [2n] once and classify each distinct cover once."""
-    twin_histogram, image_distinct, fibers = _full_scan(n)
+    """Scan [2n] once and tally each listed cover once."""
+    twin_histogram, image_distinct, covers = _full_scan(n)
     total = bell(2 * n)
     # Every factorial moment of the merged-twin count; r = 0 is the Bell sum.  The
     # separated count is their alternating sum, so it needs no check of its own.
@@ -351,33 +382,20 @@ def _census(n: int) -> OracleCensus:
             f"image-distinct count failed at n={n}: the scan gives"
             f" {image_distinct} but the pair-collision formula gives {formula}"
         )
-    # Each block's pairs as an edge bit set, one entry per possible mask.
-    edge_sets = [
-        sum(1 << (a * n + b) for a, b in combinations(_mask_block(mask, n), 2))
-        for mask in range(1 << n)
-    ]
     collision_histogram = [0] * (n + 1)
-    t = u = v = triangle_free = 0
+    s = t = u = v = triangle_free = 0
     graphs = set()
-    for key, preimages in fibers.items():
-        duplicates = len(key) - len(set(key))
+    for state, x, y, preimages, duplicates, line_graph in covers:
+        s += 1
         collision_histogram[duplicates] += preimages
         t += duplicates == 0
         if preimages != 1 << (n - duplicates):
+            blocks = [_mask_block(m, n) for m in _cover_masks(state, x, y, n)]
             raise ConsistencyError(
-                f"fiber size failed at n={n}: cover {[_mask_block(m, n) for m in key]}"
+                f"fiber size failed at n={n}: cover {blocks}"
                 f" has {preimages} separated preimages, not 2^(n - {duplicates})"
             )
-        # Restricted covers are those whose blocks' edge sets are disjoint;
-        # their union is the line graph.  Stop at the first shared edge.
-        line_graph = shared = 0
-        for mask in key:
-            edges = edge_sets[mask]
-            shared = line_graph & edges
-            if shared:
-                break
-            line_graph |= edges
-        if shared:
+        if line_graph is None:
             continue
         u += 1
         v += duplicates == 0
@@ -387,12 +405,12 @@ def _census(n: int) -> OracleCensus:
         # triangle is always a whole component.  Distinct two-element
         # masks a and b share one element exactly when a ^ b has two bits,
         # and then the triangle's third block, if present, is a ^ b.
-        pairs = [mask for mask in key if mask.bit_count() == 2]
+        pairs = [m for m in _cover_masks(state, x, y, n) if m.bit_count() == 2]
         if not any(a ^ b in pairs for a, b in combinations(pairs, 2)):
             triangle_free += 1
     return OracleCensus(
         n=n,
-        s=len(fibers),
+        s=s,
         t=t,
         u=u,
         v=v,

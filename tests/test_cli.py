@@ -395,23 +395,25 @@ class TestTableCommand:
 
 
 def perturb_scan(monkeypatch, change):
-    """Let ``change`` edit the oracle scan's histogram list and fiber map."""
+    """Let ``change`` edit the oracle scan's histogram list and cover listing."""
     scan = oracle._full_scan
 
     def perturbed(n):
-        histogram, image_distinct, fibers = scan(n)
+        histogram, image_distinct, covers = scan(n)
         histogram = list(histogram)
-        change(histogram, fibers)
-        return tuple(histogram), image_distinct, fibers
+        covers = list(covers)
+        change(histogram, covers)
+        return tuple(histogram), image_distinct, iter(covers)
 
     monkeypatch.setattr(oracle, "_full_scan", perturbed)
 
 
-def fiber_off_by_one(histogram, fibers):
-    fibers[next(iter(fibers))] += 1
+def fiber_off_by_one(histogram, covers):
+    state, x, y, preimages, duplicates, line_graph = covers[0]
+    covers[0] = state, x, y, preimages + 1, duplicates, line_graph
 
 
-def twin_moved_up_a_bin(histogram, fibers):
+def twin_moved_up_a_bin(histogram, covers):
     # The Bell sum still holds; the first factorial moment does not.
     histogram[1] -= 1
     histogram[2] += 1

@@ -18,6 +18,7 @@ from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
     SetPartition,
     TwoCover,
+    _cover_masks,
     _full_scan,
     _place_pair,
     classify_partition,
@@ -227,16 +228,27 @@ class TestFolding:
         assert tuple(collision_hist) == census.collision_histogram
         assert collision_hist[0] == census.separated_image_distinct
         assert len(fibers) == census.s
-        # The scan's fiber map, leaf by leaf: every folded cover with its
-        # preimage count, keys turned from bit masks back into blocks.
+        # The census's cover listing, leaf by leaf: every folded cover with
+        # its preimage count, keys turned from bit masks back into blocks.
         scanned = {
             TwoCover.from_blocks(
                 n,
                 [[j + 1 for j in range(n) if (mask >> j) & 1] for mask in key],
             ): count
-            for key, count in _full_scan(n)[2].items()
+            for key, count in listed_covers(n).items()
         }
         assert fibers == scanned
+
+
+def listed_covers(n):
+    """The census's cover listing as {sorted mask key: preimage count}."""
+    listing = {}
+    for state, x, y, preimages, _, _ in _full_scan(n)[2]:
+        key = tuple(_cover_masks(state, x, y, n))
+        assert list(key) == sorted(key)
+        assert key not in listing, f"cover {key} listed twice"
+        listing[key] = preimages
+    return listing
 
 
 def _place_element(layer, bit):
@@ -259,9 +271,9 @@ def _per_outcome_scan(n):
     """Reference: place every element, the last too, one at a time.
 
     It keeps the plain order 1..2n and sorts every key, where ``_full_scan``
-    places each element with its twin and counts the last pair in closed
-    form, so agreement also shows that the counts do not depend on the
-    placement order.
+    places each element with its twin and lists the last pair's covers
+    state by state, so agreement also shows that the counts do not depend
+    on the placement order.
     """
     layer = {(): 1}
     for i in range(2 * n):
@@ -302,20 +314,29 @@ class TestScanReferences:
             )
         assert layer == expected
 
+    def test_listed_layers_repeat_no_mask_three_times(self):
+        # The layers before the last pair at n = 5, 6 and 7, too large for
+        # brute force: the last pair's closed forms and the listing's
+        # weights 2 * count * mult(x) * mult(y) assume mult(x) <= 2.
+        layer = {(): 1}
+        for bit in range(6):
+            layer = _place_pair(layer, 1 << bit)
+            assert all(max(Counter(masks).values(), default=0) <= 2 for masks in layer)
+
     @pytest.mark.parametrize("n", range(7))
     def test_last_placement_matches_per_outcome_route(self, n):
-        twin_hist, image_distinct, fibers = _full_scan(n)
+        twin_hist, image_distinct, _ = _full_scan(n)
         census = oracle_counts(n)
         separated, collision_hist = census.separated, census.collision_histogram
         expected = _per_outcome_scan(n)
         assert (twin_hist, separated, image_distinct, collision_hist) == expected[:4]
-        assert sorted(fibers.items()) == sorted(expected[4].items())
+        assert sorted(listed_covers(n).items()) == sorted(expected[4].items())
 
     @pytest.mark.parametrize("n", range(7))
     def test_edge_set_restrictedness_matches_pairwise_test(self, n):
         u = v = 0
         graphs = set()
-        for key in _full_scan(n)[2]:
+        for key in listed_covers(n):
             if any((a & b).bit_count() > 1 for a, b in combinations(key, 2)):
                 continue
             u += 1
@@ -404,7 +425,6 @@ class TestOracleCensus:
         with pytest.raises(ConsistencyError, match=message):
             oracle_counts(k)
 
-    @pytest.mark.slow
     def test_frozen_census_n7(self):
         # Frozen from a depth-first walk over all Bell(14) partitions of
         # [14], one at a time, which shares no merging with the scan.
@@ -417,7 +437,7 @@ class TestOracleCensus:
         assert census.collision_histogram == (
             54323200, 10276736, 1074752, 84896, 6720, 644, 42, 1,
         )
-        assert census.s == 624889  # the number of keys in the scan's fiber map
+        assert census.s == 624889  # the number of covers the census lists
         table = full_table(7)
         row = table.row(7)
         assert (census.s, census.t, census.u, census.v) == (row.s, row.t, row.u, row.v)
