@@ -237,8 +237,7 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, Iterator[tuple]]:
     already placed, so what can still happen to a partial partition
     depends on its mask multiset alone, and a partition's merged twins
     are 2j minus its total popcount.  At n = 7 the layers after each pair
-    hold 2, 9, 66, 712, 10457 and 198091 states; no layer holds an
-    element without its twin.
+    hold 2, 9, 66, 712, 10457 and 198091 states.
 
     The last pair is counted once per state of the layer before it, in
     closed form.  A state of L masks with m merged twins gives L + 1
@@ -252,21 +251,24 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, Iterator[tuple]]:
     two blocks, so two repeats always mean two masks.
 
     ``covers`` lazily lists each 2-cover of [n] once, as (state, x, y,
-    preimages, duplicates, line_graph): a state with m = 0 and the mask
-    values x <= y its last twins join, 0 for a new block (``_cover_masks``
-    gives the blocks).  The weights are count for two new blocks,
-    2 * count * mult(y) for a new block and y, 2 * count * mult(x) *
-    mult(y) for x < y, and 2 * count for both copies of a repeated x; the
+    preimages, duplicates, line_graph, triangle_free): a state with m = 0
+    and the mask values x <= y its last twins join, 0 for a new block
+    (``_cover_masks`` gives the blocks).  The weights are count for two new
+    blocks, 2 * count * mult(y) for a new block and y, 2 * count * mult(x)
+    * mult(y) for x < y, and 2 * count for both copies of a repeated x; the
     2 is the twin swap.  Removing the bit from a cover's masks gives back
-    its state, so no cover is listed twice.  ``line_graph`` is the union
-    of the blocks' edge sets (one bit per pair of elements) if they are
+    its state, so no cover is listed twice.  ``line_graph`` is the union of
+    the blocks' edge sets (one bit per pair of elements) if they are
     disjoint, that is if the cover is restricted, else None; the pair adds
-    only edges to its bit, which clash exactly when x & y != 0.
-    ``classify_partition`` checks this pass leaf by leaf, independently
-    and set by set.
+    only edges to its bit, which clash exactly when x & y != 0.  A state is
+    a 2-cover of [n - 1], so its triangles (three two-element blocks on
+    three elements) are disjoint components.  ``triangle_free`` says the
+    cover is restricted, x or y is a mask of each state triangle, and x, y
+    are not singletons {i}, {j} with {i, j} a block (a triangle through n).
+    ``classify_partition`` checks this pass leaf by leaf, set by set.
     """
     if n == 0:  # the empty partition, separated, folds to the empty cover
-        return (1,), 1, iter([((), 0, 0, 1, 0, 0)])
+        return (1,), 1, iter([((), 0, 0, 1, 0, 0, True)])
     twin_histogram = [0] * (n + 1)
     states = []
     image_distinct = 0
@@ -305,19 +307,26 @@ def _last_pair_covers(states: list, n: int) -> Iterator[tuple]:
             if graph is not None:
                 graph = None if graph & edge_sets[mask] else graph | edge_sets[mask]
         repeats = len(state) - len(mult)
-        yield state, 0, 0, count, repeats + 1, graph
-        values = list(mult.items())
-        for i, (x, mx) in enumerate(values):
+        pairs = {m for m in mult if m.bit_count() == 2}
+        hit: dict[int, int] = {}  # each triangle's masks -> its own bit
+        for a, b in combinations(sorted(pairs), 2):
+            if b < a ^ b and a ^ b in pairs:
+                hit[a] = hit[b] = hit[a ^ b] = 1 << len(hit) // 3
+        every = -1 if graph is None else (1 << len(hit) // 3) - 1  # -1 is never hit
+        yield state, 0, 0, count, repeats + 1, graph, not every
+        values = [(x, mx, hit.get(x, 0)) for x, mx in mult.items()]
+        for i, (x, mx, x_hit) in enumerate(values):
             x_graph = None if graph is None else graph | edge_sets[x | bit]
             weight = 2 * count * mx
             dup = repeats - (mx == 2)
-            yield state, 0, x, weight, dup, x_graph
+            yield state, 0, x, weight, dup, x_graph, x_hit == every
             if mx == 2:
-                yield state, x, x, 2 * count, repeats, None
-            for y, my in values[i + 1 :]:
+                yield state, x, x, 2 * count, repeats, None, False
+            for y, my, y_hit in values[i + 1 :]:
                 clash = x_graph is None or x & y
                 line_graph = None if clash else x_graph | edge_sets[y | bit]
-                yield state, x, y, weight * my, dup - (my == 2), line_graph
+                free = not clash and x_hit | y_hit == every and x | y not in pairs
+                yield state, x, y, weight * my, dup - (my == 2), line_graph, free
 
 
 def _cover_masks(state: tuple[int, ...], x: int, y: int, n: int) -> list[int]:
@@ -365,7 +374,6 @@ class OracleCensus(NamedTuple):
 def _census(n: int) -> OracleCensus:
     """Scan [2n] once and tally each listed cover once."""
     twin_histogram, image_distinct, covers = _full_scan(n)
-    total = bell(2 * n)
     # Every factorial moment of the merged-twin count; r = 0 is the Bell sum.  The
     # separated count is their alternating sum, so it needs no check of its own.
     for r in range(n + 1):
@@ -385,7 +393,7 @@ def _census(n: int) -> OracleCensus:
     collision_histogram = [0] * (n + 1)
     s = t = u = v = triangle_free = 0
     graphs = set()
-    for state, x, y, preimages, duplicates, line_graph in covers:
+    for state, x, y, preimages, duplicates, line_graph, free in covers:
         s += 1
         collision_histogram[duplicates] += preimages
         t += duplicates == 0
@@ -395,19 +403,11 @@ def _census(n: int) -> OracleCensus:
                 f"fiber size failed at n={n}: cover {blocks}"
                 f" has {preimages} separated preimages, not 2^(n - {duplicates})"
             )
-        if line_graph is None:
-            continue
-        u += 1
-        v += duplicates == 0
-        graphs.add(line_graph)
-        # Each element lies in exactly two blocks, so three two-element
-        # blocks on three elements use every slot of those elements: a
-        # triangle is always a whole component.  Distinct two-element
-        # masks a and b share one element exactly when a ^ b has two bits,
-        # and then the triangle's third block, if present, is a ^ b.
-        pairs = [m for m in _cover_masks(state, x, y, n) if m.bit_count() == 2]
-        if not any(a ^ b in pairs for a, b in combinations(pairs, 2)):
-            triangle_free += 1
+        if line_graph is not None:
+            u += 1
+            v += duplicates == 0
+            graphs.add(line_graph)
+            triangle_free += free
     return OracleCensus(
         n=n,
         s=s,
@@ -419,7 +419,7 @@ def _census(n: int) -> OracleCensus:
         separated_image_distinct=collision_histogram[0],
         merged_twin_histogram=twin_histogram,
         collision_histogram=tuple(collision_histogram),
-        bell_2n=total,
+        bell_2n=bell(2 * n),
         line_graphs=len(graphs),
         line_classes=triangle_free,
     )

@@ -409,8 +409,8 @@ def perturb_scan(monkeypatch, change):
 
 
 def fiber_off_by_one(histogram, covers):
-    state, x, y, preimages, duplicates, line_graph = covers[0]
-    covers[0] = state, x, y, preimages + 1, duplicates, line_graph
+    state, x, y, preimages, duplicates, line_graph, triangle_free = covers[0]
+    covers[0] = state, x, y, preimages + 1, duplicates, line_graph, triangle_free
 
 
 def twin_moved_up_a_bin(histogram, covers):

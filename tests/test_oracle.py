@@ -243,12 +243,25 @@ class TestFolding:
 def listed_covers(n):
     """The census's cover listing as {sorted mask key: preimage count}."""
     listing = {}
-    for state, x, y, preimages, _, _ in _full_scan(n)[2]:
+    for state, x, y, preimages, _, _, _ in _full_scan(n)[2]:
         key = tuple(_cover_masks(state, x, y, n))
         assert list(key) == sorted(key)
         assert key not in listing, f"cover {key} listed twice"
         listing[key] = preimages
     return listing
+
+
+def has_triangle(masks):
+    """Reference: do some three two-element blocks form a triangle?
+
+    Each element lies in exactly two blocks, so three two-element blocks on
+    three elements use every slot of those elements: a triangle is always a
+    whole component.  Distinct two-element masks a and b share one element
+    exactly when a ^ b has two bits, and then the triangle's third block, if
+    present, is a ^ b.
+    """
+    pairs = [m for m in masks if m.bit_count() == 2]
+    return any(a ^ b in pairs for a, b in combinations(pairs, 2))
 
 
 def _place_element(layer, bit):
@@ -349,6 +362,20 @@ class TestScanReferences:
         census = oracle_counts(n)
         assert (census.u, census.v, census.line_graphs) == (u, v, len(graphs))
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_triangle_verdict_matches_pairwise_search(self, n):
+        # The listing decides triangle-freeness once per state; the reference
+        # searches each restricted cover's own blocks, pair by pair.
+        restricted = 0
+        for state, x, y, _, _, line_graph, triangle_free in _full_scan(n)[2]:
+            if line_graph is None:
+                assert triangle_free is False
+                continue
+            restricted += 1
+            masks = _cover_masks(state, x, y, n)
+            assert triangle_free == (not has_triangle(masks)), (state, x, y)
+        assert restricted == oracle_counts(n).u
+
 
 class TestOracleCensus:
     def test_frozen_small_values(self):
@@ -442,6 +469,7 @@ class TestOracleCensus:
         row = table.row(7)
         assert (census.s, census.t, census.u, census.v) == (row.s, row.t, row.u, row.v)
         assert (row.s, row.t, row.u, row.v) == (624889, 424400, 233238, 163356)
+        assert census.line_classes == row.l == 230858
         t = [r.t for r in table.rows]
         assert collision_histogram_route(t) == list(census.collision_histogram)
         assert fiber_check(7, limit=7).ok
@@ -473,9 +501,9 @@ class TestLineGraphs:
         assert oracle_line_count(6, limit=7) == 11600
 
     def test_class_count_matches_table_column(self):
-        table = full_table(5)
-        for n in range(6):
-            assert oracle_line_class_count(n) == table.row(n).l
+        table = full_table(6)
+        for n in range(7):
+            assert oracle_line_class_count(n, limit=7) == table.row(n).l
 
     def test_every_graph_on_three_vertices_is_a_line_graph(self):
         _, _, _, _, images, _ = census_from_multisets(3)
