@@ -9,7 +9,6 @@ and estimates the underlying partition statistics by exact uniform
 sampling.
 """
 
-from .asymptotics import asymptotic_report
 from .errors import ConsistencyError
 from .oracle import oracle_counts
 from .sequences import full_table
@@ -17,3 +16,12 @@ from .sequences import full_table
 __version__ = "0.1.0"
 
 __all__ = ["ConsistencyError", "asymptotic_report", "full_table", "oracle_counts"]
+
+
+def __getattr__(name: str):
+    # The report loads on first use (PEP 562): only one CLI command reads it.
+    if name == "asymptotic_report":
+        from .asymptotics import asymptotic_report
+
+        return asymptotic_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

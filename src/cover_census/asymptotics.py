@@ -1,24 +1,29 @@
-"""Asymptotic estimators and exact probabilistic quantities for 2-covers.
+"""Asymptotic estimators for 2-covers and the report that judges them.
 
 The estimators live in log space throughout: Bell numbers at the sizes of
 interest overflow any float, so exact integers are compared through
 math.log, which takes integers of any size.  Beside the paper's two
 estimates, u, v and l are compared with the Lambert-W shape
 B_{2n} 2^{-n} sqrt(W/2n) exp(-(W/2)^2), W = W(2n), whose leading-term
-expansion is the paper's restricted estimate.  The probabilistic layer
-(factorial moments, separation probability, collision bound) stays in
-exact rational arithmetic.
+expansion is the paper's restricted estimate.  The exact probabilities
+(factorial moments, separation probability, collision bound) are Bell-number
+fractions in ``combinatorics``; ``__all__`` keeps two of them importable here.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .combinatorics import bell, image_distinct_partitions, separated_partitions
-from .errors import ConsistencyError
+from .combinatorics import image_collision_bound, separation_probability
 from .sequences import full_table
+
+__all__ = [
+    "REPORT_NOTE", "ReportRow", "TrendCheck", "asymptotic_report",
+    "image_collision_bound", "lambert_w", "log_cover_estimate",
+    "log_restricted_estimate", "log_restricted_w", "ratio_trends",
+    "report_grid", "separation_probability",
+]
 
 _W_TOLERANCE = 1e-12
 _W_MAX_ITERATIONS = 50
@@ -93,72 +98,6 @@ def log_restricted_w(n: int, log_bell_2n: float) -> float:
         raise ValueError(f"log_restricted_w() needs n >= 1, got {n}")
     w = lambert_w(2.0 * n)
     return log_bell_2n - n * _LOG2 + 0.5 * math.log(w / (2.0 * n)) - 0.25 * w * w
-
-
-def merged_twin_moment(n: int, r: int) -> Fraction:
-    """r-th falling-factorial moment of the merged-twin count.
-
-    For a uniform partition of [2n], the count X of twin pairs sharing a
-    block satisfies E[(X)_r] = (n)_r B_{2n-r} / B_{2n}, exactly.
-    """
-    if n < 0 or r < 0:
-        raise ValueError(f"merged_twin_moment() needs n, r >= 0, got {n}, {r}")
-    if r > n:
-        return Fraction(0)
-    return Fraction(
-        math.perm(n, r) * bell(2 * n - r),
-        bell(2 * n),
-    )
-
-
-def merged_twin_moment_variance(n: int, r: int) -> Fraction:
-    """Exact variance of (X)_r for the merged-twin count X of [2n], by the
-    product rule (x)_r^2 = sum_j C(r, j)^2 j! (x)_{2r-j}."""
-    mean = merged_twin_moment(n, r)
-    second = sum(
-        math.comb(r, j) ** 2 * math.factorial(j) * merged_twin_moment(n, 2 * r - j)
-        for j in range(r + 1)
-    )
-    return second - mean * mean
-
-
-def separation_probability(n: int) -> Fraction:
-    """Exact probability that a uniform partition of [2n] is separated.
-
-    By inclusion-exclusion over merged twin pairs this is the alternating
-    sum of the factorial moments, sum_r (-1)^r E[(X)_r] / r!, that is the
-    separated count sum_r (-1)^r C(n, r) B_{2n-r} over B_{2n}.
-    """
-    if n < 0:
-        raise ValueError(f"separation_probability() needs n >= 0, got {n}")
-    total = Fraction(separated_partitions(n), bell(2 * n))
-    if not 0 <= total <= 1:
-        raise ConsistencyError(
-            f"separation probability at n={n} is not a count fraction: {total}"
-        )
-    return total
-
-
-def collision_probability(n: int) -> Fraction:
-    """Exact probability that two folded blocks of a uniform partition of
-    [2n] coincide: one minus the image-distinct count over B_{2n}."""
-    total = bell(2 * n)
-    return Fraction(total - image_distinct_partitions(n), total)
-
-
-def image_collision_bound(n: int) -> Fraction:
-    """Union-style upper bound on the probability of a folded-block collision.
-
-    Two blocks of a partition of [2n] can fold to the same image only if a
-    set of k twin pairs pairs up across them; bounding over k gives
-    sum_{k>=1} C(n, k) 2^k B_{2n-2k} / B_{2n}.
-    """
-    if n < 0:
-        raise ValueError(f"image_collision_bound() needs n >= 0, got {n}")
-    numerator = sum(
-        math.comb(n, k) * (1 << k) * bell(2 * n - 2 * k) for k in range(1, n + 1)
-    )
-    return Fraction(numerator, bell(2 * n))
 
 
 class ReportRow(NamedTuple):

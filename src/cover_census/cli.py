@@ -16,7 +16,6 @@ maps: a refusal is a ``ValueError``, a failed check a
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import json
@@ -27,18 +26,14 @@ import sys
 from fractions import Fraction
 from typing import Iterable, NoReturn, Sequence
 
-from .asymptotics import (
-    REPORT_NOTE,
-    ReportRow,
-    asymptotic_report,
+from .combinatorics import (
+    DEFAULT_BELL_CAP,
     collision_probability,
     image_collision_bound,
     merged_twin_moment,
     merged_twin_moment_variance,
-    ratio_trends,
     separation_probability,
 )
-from .combinatorics import DEFAULT_BELL_CAP
 from .errors import ConsistencyError, clip
 from .oracle import DEFAULT_ORACLE_LIMIT, oracle_counts
 from .sampler import (
@@ -51,8 +46,6 @@ from .sampler import (
 from .sequences import collision_histogram_route, full_table
 
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
-
-REPORT_FIELDS = ReportRow._fields
 
 # full_table(256) takes 26-40 s on a 2-core host, 98% of it in the loop
 # over block counts of restricted_proper_sequence, and the cost grows faster
@@ -188,6 +181,8 @@ def _usage_error(message: str) -> int:
 
 
 def _csv(header: Sequence[str], rows: Iterable, comment: str | None = None) -> str:
+    import csv  # only table and asymptotics write CSV, and it takes ~0.6 ms to load
+
     buffer = io.StringIO()
     if comment is not None:
         buffer.write(f"# {comment}\n")
@@ -240,10 +235,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> int:
+    # Only this command reads the report, so the others never compile it.
+    from .asymptotics import REPORT_NOTE, ReportRow, asymptotic_report, ratio_trends
+
     _announce_table(args.max_n)
     rows = asymptotic_report(args.max_n)
     if args.format == "csv":
-        text = _csv(REPORT_FIELDS, rows, REPORT_NOTE)
+        text = _csv(ReportRow._fields, rows, REPORT_NOTE)
     else:
         text = _json(args, [row._asdict() for row in rows], note=REPORT_NOTE)
     sys.stdout.write(text)

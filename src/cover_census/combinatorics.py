@@ -1,15 +1,20 @@
 """Arbitrary-precision combinatorial primitives.
 
-Bell and Stirling numbers are memoized in module-level triangle tables.
-The tables are grown on demand and only ever appended to, so values may be
-shared freely once computed; growth itself is not thread-safe and is meant
-to happen from a single thread.
+Bell and Stirling numbers, the partition counts of [2n] built from them,
+and the exact probabilities of a uniform partition of [2n]: those counts
+over B_{2n}, as Fractions.  Bell and Stirling numbers are memoized in
+module-level triangle tables.  The tables are grown on demand and only
+ever appended to, so values may be shared freely once computed; growth
+itself is not thread-safe and is meant to happen from a single thread.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import accumulate
+
+from .errors import ConsistencyError
 
 DEFAULT_BELL_CAP = 1024
 
@@ -107,3 +112,69 @@ def image_distinct_partitions(n: int) -> int:
         math.comb(n, k) * c * bell(2 * n - 2 * k)
         for k, c in enumerate(_pair_collision_terms(n))
     )
+
+
+def merged_twin_moment(n: int, r: int) -> Fraction:
+    """r-th falling-factorial moment of the merged-twin count.
+
+    For a uniform partition of [2n], the count X of twin pairs sharing a
+    block satisfies E[(X)_r] = (n)_r B_{2n-r} / B_{2n}, exactly.
+    """
+    if n < 0 or r < 0:
+        raise ValueError(f"merged_twin_moment() needs n, r >= 0, got {n}, {r}")
+    if r > n:
+        return Fraction(0)
+    return Fraction(
+        math.perm(n, r) * bell(2 * n - r),
+        bell(2 * n),
+    )
+
+
+def merged_twin_moment_variance(n: int, r: int) -> Fraction:
+    """Exact variance of (X)_r for the merged-twin count X of [2n], by the
+    product rule (x)_r^2 = sum_j C(r, j)^2 j! (x)_{2r-j}."""
+    mean = merged_twin_moment(n, r)
+    second = sum(
+        math.comb(r, j) ** 2 * math.factorial(j) * merged_twin_moment(n, 2 * r - j)
+        for j in range(r + 1)
+    )
+    return second - mean * mean
+
+
+def separation_probability(n: int) -> Fraction:
+    """Exact probability that a uniform partition of [2n] is separated.
+
+    By inclusion-exclusion over merged twin pairs this is the alternating
+    sum of the factorial moments, sum_r (-1)^r E[(X)_r] / r!, that is the
+    separated count sum_r (-1)^r C(n, r) B_{2n-r} over B_{2n}.
+    """
+    if n < 0:
+        raise ValueError(f"separation_probability() needs n >= 0, got {n}")
+    total = Fraction(separated_partitions(n), bell(2 * n))
+    if not 0 <= total <= 1:
+        raise ConsistencyError(
+            f"separation probability at n={n} is not a count fraction: {total}"
+        )
+    return total
+
+
+def collision_probability(n: int) -> Fraction:
+    """Exact probability that two folded blocks of a uniform partition of
+    [2n] coincide: one minus the image-distinct count over B_{2n}."""
+    total = bell(2 * n)
+    return Fraction(total - image_distinct_partitions(n), total)
+
+
+def image_collision_bound(n: int) -> Fraction:
+    """Union-style upper bound on the probability of a folded-block collision.
+
+    Two blocks of a partition of [2n] can fold to the same image only if a
+    set of k twin pairs pairs up across them; bounding over k gives
+    sum_{k>=1} C(n, k) 2^k B_{2n-2k} / B_{2n}.
+    """
+    if n < 0:
+        raise ValueError(f"image_collision_bound() needs n >= 0, got {n}")
+    numerator = sum(
+        math.comb(n, k) * (1 << k) * bell(2 * n - 2 * k) for k in range(1, n + 1)
+    )
+    return Fraction(numerator, bell(2 * n))

@@ -175,7 +175,7 @@ def sample_partition(
     A single ``rng.randrange(bell(size))`` picks the partition; the rank is
     decoded block by block as the module docstring describes.  Entry i is
     the block label of element i + 1, labels in order of first use, as in
-    ``SetPartition.rgs``.
+    ``partitions.SetPartition.rgs``.
 
     With ``stop_at_twin`` and ``size = 2n``, return None exactly when a
     twin pair {j, j + n} shares a block, the last 7 elements included, so

@@ -19,13 +19,8 @@ from pathlib import Path
 import scipy.stats
 
 import cover_census
-from cover_census.asymptotics import (
-    asymptotic_report,
-    lambert_w,
-    merged_twin_moment,
-    separation_probability,
-)
-from cover_census.combinatorics import bell
+from cover_census.asymptotics import asymptotic_report, lambert_w
+from cover_census.combinatorics import bell, merged_twin_moment, separation_probability
 from cover_census.oracle import (
     fiber_check,
     oracle_counts,

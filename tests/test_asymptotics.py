@@ -10,18 +10,21 @@ import scipy.special
 
 from cover_census.asymptotics import (
     asymptotic_report,
-    image_collision_bound,
     lambert_w,
     log_cover_estimate,
     log_restricted_estimate,
     log_restricted_w,
-    merged_twin_moment,
-    merged_twin_moment_variance,
     ratio_trends,
     report_grid,
+)
+from cover_census.combinatorics import (
+    DEFAULT_BELL_CAP,
+    bell,
+    image_collision_bound,
+    merged_twin_moment,
+    merged_twin_moment_variance,
     separation_probability,
 )
-from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
 from cover_census.oracle import oracle_counts
 from cover_census.sequences import full_table
 

@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census import cli, errors, oracle, sequences
-from cover_census.asymptotics import asymptotic_report, merged_twin_moment_variance
+from cover_census import asymptotics, cli, errors, oracle, sequences
+from cover_census.asymptotics import asymptotic_report
 from cover_census.cli import main
+from cover_census.combinatorics import merged_twin_moment_variance
 from cover_census.sampler import Estimate
 from cover_census.sequences import full_table
 
@@ -236,12 +237,14 @@ REFUSALS = {
     ),
 }
 
-# The library call each handler makes, and one run of that handler.
+# The library call each handler makes, the module it reads the name from,
+# and one run of that handler.  _cmd_asymptotics imports its report names
+# when it runs, so they are patched in asymptotics.
 HANDLER_CALLS = {
-    "full_table": "table --max-n 3",
-    "asymptotic_report": "asymptotics --max-n 8",
-    "oracle_counts": "oracle --n 3",
-    "_statistic": "sample --n 2 --stat p-x0 --trials 10 --seed 1",
+    "full_table": (cli, "table --max-n 3"),
+    "asymptotic_report": (asymptotics, "asymptotics --max-n 8"),
+    "oracle_counts": (cli, "oracle --n 3"),
+    "_statistic": (cli, "sample --n 2 --stat p-x0 --trials 10 --seed 1"),
 }
 
 
@@ -617,7 +620,9 @@ class TestAsymptoticsCommand:
         # Sizes up to 512 get a small report; a larger one reaches the real
         # report, which full_table refuses without an announcement.
         monkeypatch.setattr(
-            cli, "asymptotic_report", lambda n: asymptotic_report(8 if n <= 512 else n)
+            asymptotics,
+            "asymptotic_report",
+            lambda n: asymptotic_report(8 if n <= 512 else n),
         )
         assert main(["asymptotics", "--max-n", str(max_n)]) == code
         lines = capsys.readouterr().err.splitlines()
@@ -1050,13 +1055,14 @@ class TestErrorBoundary:
             f" ({len(target)} characters): "
         )
 
-    @pytest.mark.parametrize("name, argv", HANDLER_CALLS.items(), ids=HANDLER_CALLS)
-    def test_library_value_error_is_usage_error(self, capsys, monkeypatch, name, argv):
+    @pytest.mark.parametrize("name, call", HANDLER_CALLS.items(), ids=HANDLER_CALLS)
+    def test_library_value_error_is_usage_error(self, capsys, monkeypatch, name, call):
         # A ValueError from anywhere inside a handler takes the one path.
         def refuse(*args, **kwargs):
             raise ValueError("boom")
 
-        monkeypatch.setattr(cli, name, refuse)
+        module, argv = call
+        monkeypatch.setattr(module, name, refuse)
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", "cover-census: error: boom\n")
 

@@ -16,19 +16,21 @@ from cover_census.combinatorics import bell, image_distinct_partitions
 from cover_census.errors import ConsistencyError
 from cover_census.oracle import (
     DEFAULT_ORACLE_LIMIT,
-    SetPartition,
-    TwoCover,
     _cover_masks,
     _full_scan,
     _place_pair,
-    classify_partition,
-    enumerate_partitions,
     fiber_check,
     image_collision_count,
     merged_twin_count,
     oracle_counts,
     oracle_line_class_count,
     oracle_line_count,
+)
+from cover_census.partitions import (
+    SetPartition,
+    TwoCover,
+    classify_partition,
+    enumerate_partitions,
 )
 from cover_census.sequences import collision_histogram_route, full_table
 

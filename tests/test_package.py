@@ -5,6 +5,7 @@ choices, the sampler's one reader of the merged-twin count, and the
 formula route's integer-only imports."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,17 +44,31 @@ def test_readme_library_section_matches_exports():
     exec(code, {"__name__": "readme_library"})
 
 
-def cli_import_loads(module):
-    """Whether a fresh ``python -S`` loads ``module`` to import the CLI."""
-    package_parent = str(Path(cover_census.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {package_parent!r}); "
-        f"import cover_census.cli; print({module!r} in sys.modules)"
-    )
+PACKAGE_PARENT = str(Path(cover_census.__file__).resolve().parents[1])
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh ``python -S`` that imports this package, and
+    return its stdout; a nonzero exit fails."""
+    setup = f"import sys; sys.path.insert(0, {PACKAGE_PARENT!r}); "
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", setup + code],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    return result.stdout == "True\n"
+    return result.stdout
+
+
+def cli_import_loads(module, command=""):
+    """Whether a fresh ``python -S`` loads ``module`` to import the CLI and,
+    given a command, to run ``cover-census COMMAND`` in process."""
+    out = run_fresh(
+        f"import cover_census.cli; argv = {command.split()!r}; "
+        "code = cover_census.cli.main(argv) if argv else 0; "
+        f"print({module!r} in sys.modules); sys.exit(code)"
+    )
+    return out.splitlines()[-1] == "True"
 
 
 def test_cli_import_skips_dataclasses():
@@ -66,6 +81,48 @@ def test_cli_import_skips_dataclasses():
 def test_cli_import_skips_ast():
     # Only a usage error reads a quoted value back, so ast is imported there.
     assert not cli_import_loads("ast")
+
+
+@pytest.mark.parametrize(
+    "module", ["cover_census.asymptotics", "cover_census.partitions", "csv"]
+)
+def test_cli_import_skips_what_no_benchmarked_command_runs(module):
+    # Every command compiles what it loads, with no bytecode cache in the
+    # benchmark: only asymptotics reads the report, only the tests fold
+    # partitions set by set, and only table and asymptotics write CSV.
+    assert not cli_import_loads(module)
+
+
+@pytest.mark.parametrize(
+    "command", ["oracle --n 3", "sample --n 2 --stat p-x0 --trials 10 --seed 1"]
+)
+def test_oracle_and_sample_runs_skip_the_report(command):
+    # Both read their exact Bell-number values from combinatorics.
+    assert not cli_import_loads("cover_census.asymptotics", command)
+
+
+def test_asymptotics_runs_in_a_fresh_process(capsys):
+    # The report is imported inside its handler, so a fresh run must find it.
+    command = ["asymptotics", "--max-n", "8"]
+    result = subprocess.run(
+        [sys.executable, "-m", "cover_census", *command],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PARENT},
+    )
+    assert cli.main(command) == result.returncode == 0
+    assert capsys.readouterr() == (result.stdout, result.stderr)
+
+
+def test_root_exports_resolve_in_a_fresh_process():
+    # asymptotic_report resolves through the package root's __getattr__.
+    out = run_fresh(
+        "import cover_census; lazy = 'cover_census.asymptotics' not in sys.modules; "
+        "found = hasattr(cover_census, 'asymptotic_report'); names = {}; "
+        "exec('from cover_census import *', names); del names['__builtins__']; "
+        "print(lazy, found, set(names) == set(cover_census.__all__))"
+    )
+    assert out == "True True True\n"
 
 
 def unused_imports(source):
@@ -165,9 +222,13 @@ def test_package_import_check_sees_each_form():
 
 
 def test_oracle_shares_no_code_with_the_formula_route():
-    # The exhaustive route checks the formula pipeline, so it must not use it.
-    source = (ROOT / "src/cover_census/oracle.py").read_text(encoding="utf-8")
-    assert package_imports(source).isdisjoint({"sequences", "series", "asymptotics"})
+    # The exhaustive route and its set-based reference check the formula
+    # pipeline, so they must not use it.
+    for module in ("oracle", "partitions"):
+        source = (ROOT / f"src/cover_census/{module}.py").read_text(encoding="utf-8")
+        assert package_imports(source).isdisjoint(
+            {"sequences", "series", "asymptotics"}
+        ), module
 
 
 def test_formula_route_imports_no_fractions():

@@ -12,15 +12,15 @@ import pytest
 import scipy.stats
 
 from cover_census import sampler
-from cover_census.asymptotics import merged_twin_moment, separation_probability
 from cover_census.cli import main
-from cover_census.combinatorics import DEFAULT_BELL_CAP, bell
-from cover_census.oracle import (
-    SetPartition,
-    enumerate_partitions,
-    merged_twin_count,
-    oracle_counts,
+from cover_census.combinatorics import (
+    DEFAULT_BELL_CAP,
+    bell,
+    merged_twin_moment,
+    separation_probability,
 )
+from cover_census.oracle import merged_twin_count, oracle_counts
+from cover_census.partitions import SetPartition, enumerate_partitions
 from cover_census.sampler import (
     Estimate,
     SamplerConfig,

@@ -10,7 +10,8 @@ import pytest
 from cover_census import sequences
 from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, stirling2
 from cover_census.errors import ConsistencyError
-from cover_census.oracle import classify_partition, enumerate_partitions, oracle_counts
+from cover_census.oracle import oracle_counts
+from cover_census.partitions import classify_partition, enumerate_partitions
 from cover_census.sequences import (
     SequenceTable,
     TableRow,
