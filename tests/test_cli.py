@@ -304,6 +304,64 @@ OUTPUT_DIGESTS = {
     ),
 }
 
+# The whole --help stdout of the root and of each subcommand at 80 columns:
+# argparse writes all of it, from the grammar cli.py declares.
+HELP_TEXT = {
+    "": """\
+usage: cover-census [-h] {table,oracle,asymptotics,sample} ...
+
+Exact and asymptotic enumeration of 2-covers and line graphs.
+
+positional arguments:
+  {table,oracle,asymptotics,sample}
+    table               print the exact sequence table for n = 0..max_n
+    oracle              verify the table against exhaustive enumeration at one
+                        n
+    asymptotics         emit the exact-versus-estimate convergence report
+    sample              Monte Carlo estimate of a partition statistic
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "table": """\
+usage: cover-census table [-h] --max-n MAX_N [--format {csv,json}] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --max-n MAX_N
+  --format {csv,json}
+  --out OUT            write to a file instead of stdout
+""",
+    "oracle": """\
+usage: cover-census oracle [-h] --n N [--slow]
+
+options:
+  -h, --help  show this help message and exit
+  --n N
+  --slow      permit one size above the oracle limit
+""",
+    "asymptotics": """\
+usage: cover-census asymptotics [-h] --max-n MAX_N [--format {csv,json}]
+
+options:
+  -h, --help           show this help message and exit
+  --max-n MAX_N
+  --format {csv,json}
+""",
+    "sample": """\
+usage: cover-census sample [-h] --n N --stat {p-x0,moment,p-collision} [--r R]
+                           --trials TRIALS --seed SEED
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --stat {p-x0,moment,p-collision}
+  --r R
+  --trials TRIALS
+  --seed SEED
+""",
+}
+
 # The benchmark's record of the table-128 workload, read and never written.
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
@@ -1099,6 +1157,14 @@ class TestOutputDigests:
         assert main(argv.split()) == 0
         out, err = capsys.readouterr()
         assert (hashlib.sha256(out.encode()).hexdigest(), err) == OUTPUT_DIGESTS[argv]
+
+    @pytest.mark.parametrize("command", HELP_TEXT, ids=lambda c: c or "root")
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == (HELP_TEXT[command], "")
 
     def test_table_128_matches_benchmark(self, capsys):
         expected = json.loads(BENCH_EXPECTED.read_text())["table-128"]
