@@ -11,11 +11,15 @@ and when the output cannot be written.  Handlers raise and ``main()``
 maps: a refusal is a ``ValueError``, a failed check a
 ``ConsistencyError`` and an unwritable stream an ``OSError``.  Only
 ``table --out`` catches its own error, to name the file.
+
+The grammar is declared once, in ``_COMMANDS``.  ``main()`` reads a plain
+command line of it directly; help and every other command line go to the
+argparse parser ``build_parser()`` makes of the same declaration, whose
+usage lines and messages stand.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import io
 import json
@@ -24,7 +28,15 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    NamedTuple,
+    NoReturn,
+    Sequence,
+)
 
 from .combinatorics import (
     DEFAULT_BELL_CAP,
@@ -45,6 +57,9 @@ from .sampler import (
 )
 from .sequences import collision_histogram_route, full_table
 
+if TYPE_CHECKING:
+    import argparse
+
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
 # full_table(256) takes 26-40 s on a 2-core host, 98% of it in the loop
@@ -61,25 +76,29 @@ _ANNOUNCE_ABOVE_ELEMENTS = 10**8
 
 
 def _nonnegative(text: str) -> int:
-    """Read a count.  A refusal shows the text stripped, as int() read it,
-    so the parser's rule for runs without a space bounds it."""
+    """Read a count for argparse.  A refusal shows the text stripped, as
+    int() read it, so the parser's rule for runs without a space bounds it."""
+    from argparse import ArgumentTypeError  # loaded: only argparse calls this
+
     try:
         value = int(text)
     except ValueError as exc:
         # int() refuses a well-formed literal only above its digit limit.
         if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             digits = sum(c.isdecimal() for c in text)
-            raise argparse.ArgumentTypeError(f"too large: {digits} digits") from exc
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+            raise ArgumentTypeError(f"too large: {digits} digits") from exc
+        raise ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text.strip()}")
+        raise ArgumentTypeError(f"must be >= 0: {text.strip()}")
     return value
 
 
 def _positive(text: str) -> int:
+    from argparse import ArgumentTypeError
+
     value = _nonnegative(text)
     if value == 0:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text.strip()}")
+        raise ArgumentTypeError(f"must be >= 1: {text.strip()}")
     return value
 
 
@@ -100,63 +119,6 @@ def _clip_value(match: re.Match[str]) -> str:
         text = ast.literal_eval(match[0])
     # A value that clip() shows whole keeps its quotes as repr() wrote them.
     return match[0] if clip(text) == text else clip(text, quote=True)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Shows each value of its messages through clip(): one quoted by
-    repr(), or any other run without a space.  The subparsers that
-    add_subparsers makes share the class."""
-
-    def error(self, message: str) -> NoReturn:
-        super().error(re.sub(_VALUE, _clip_value, message))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cover-census",
-        description="Exact and asymptotic enumeration of 2-covers and line graphs.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    table = commands.add_parser(
-        "table", help="print the exact sequence table for n = 0..max_n"
-    )
-    table.add_argument("--max-n", type=_nonnegative, required=True)
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--out", default=None, help="write to a file instead of stdout")
-    table.set_defaults(handler=_cmd_table)
-
-    oracle = commands.add_parser(
-        "oracle", help="verify the table against exhaustive enumeration at one n"
-    )
-    oracle.add_argument("--n", type=_nonnegative, required=True)
-    oracle.add_argument(
-        "--slow",
-        action="store_true",
-        help="permit one size above the oracle limit",
-    )
-    oracle.set_defaults(handler=_cmd_oracle)
-
-    asymptotics = commands.add_parser(
-        "asymptotics", help="emit the exact-versus-estimate convergence report"
-    )
-    asymptotics.add_argument("--max-n", type=_nonnegative, required=True)
-    asymptotics.add_argument("--format", choices=("csv", "json"), default="csv")
-    asymptotics.set_defaults(handler=_cmd_asymptotics)
-
-    sample = commands.add_parser(
-        "sample", help="Monte Carlo estimate of a partition statistic"
-    )
-    sample.add_argument("--n", type=_positive, required=True)
-    sample.add_argument(
-        "--stat", choices=("p-x0", "moment", "p-collision"), required=True
-    )
-    sample.add_argument("--r", type=_nonnegative, default=None)
-    sample.add_argument("--trials", type=_positive, required=True)
-    sample.add_argument("--seed", type=_nonnegative, required=True)
-    sample.set_defaults(handler=_cmd_sample)
-
-    return parser
 
 
 class _ClosedStream(io.TextIOBase):
@@ -192,7 +154,7 @@ def _csv(header: Sequence[str], rows: Iterable, comment: str | None = None) -> s
     return buffer.getvalue()
 
 
-def _json(args: argparse.Namespace, rows: list[dict], **extra) -> str:
+def _json(args: SimpleNamespace, rows: list[dict], **extra) -> str:
     """The envelope every JSON output shares: the command, its options as
     parsed (in declaration order, without --out), any extra fields, rows."""
     params = {
@@ -214,7 +176,7 @@ def _announce_table(max_n: int) -> None:
         )
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     _announce_table(args.max_n)
     table = full_table(args.max_n)
     if args.format == "csv":
@@ -234,7 +196,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_asymptotics(args: argparse.Namespace) -> int:
+def _cmd_asymptotics(args: SimpleNamespace) -> int:
     # Only this command reads the report, so the others never compile it.
     from .asymptotics import REPORT_NOTE, ReportRow, asymptotic_report, ratio_trends
 
@@ -270,7 +232,7 @@ _ORACLE_CHECKS = (
 )
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: SimpleNamespace) -> int:
     """Print the census once every identity has held; a failure raises."""
     allowed = DEFAULT_ORACLE_LIMIT + 1 if args.slow else DEFAULT_ORACLE_LIMIT
     if args.n > allowed:
@@ -319,7 +281,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _statistic(
-    args: argparse.Namespace, config: SamplerConfig
+    args: SimpleNamespace, config: SamplerConfig
 ) -> tuple[Estimate, Fraction, Fraction | float]:
     """The sampled estimate, the exact value and the variance of one draw
     under it.  Every exact value is a Bell-number formula: the moment and
@@ -342,7 +304,7 @@ def _statistic(
     return result, exact, p0 * (1.0 - p0)
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: SimpleNamespace) -> int:
     if args.stat == "moment":
         if args.r is None:
             raise ValueError("--stat moment requires --r")
@@ -396,12 +358,187 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 1 if abs(z_score) > 4 else 0
 
 
+class _Option(NamedTuple):
+    """One option of a command.  Its kind is "count" (an integer >= 0),
+    "positive" (>= 1), "text", "flag" (present or not) or the choices."""
+
+    flag: str
+    kind: str | tuple[str, ...]
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable[[SimpleNamespace], int]
+    options: tuple[_Option, ...]
+
+
+_FORMATS = ("csv", "json")
+
+# The grammar, declared once: build_parser() gives it to argparse, and
+# _read_argv() reads a plain command line of it directly.
+_COMMANDS = {
+    "table": _Command(
+        "print the exact sequence table for n = 0..max_n",
+        _cmd_table,
+        (
+            _Option("--max-n", "count", required=True),
+            _Option("--format", _FORMATS, default="csv"),
+            _Option("--out", "text", help="write to a file instead of stdout"),
+        ),
+    ),
+    "oracle": _Command(
+        "verify the table against exhaustive enumeration at one n",
+        _cmd_oracle,
+        (
+            _Option("--n", "count", required=True),
+            _Option(
+                "--slow",
+                "flag",
+                default=False,
+                help="permit one size above the oracle limit",
+            ),
+        ),
+    ),
+    "asymptotics": _Command(
+        "emit the exact-versus-estimate convergence report",
+        _cmd_asymptotics,
+        (
+            _Option("--max-n", "count", required=True),
+            _Option("--format", _FORMATS, default="csv"),
+        ),
+    ),
+    "sample": _Command(
+        "Monte Carlo estimate of a partition statistic",
+        _cmd_sample,
+        (
+            _Option("--n", "positive", required=True),
+            _Option("--stat", ("p-x0", "moment", "p-collision"), required=True),
+            _Option("--r", "count"),
+            _Option("--trials", "positive", required=True),
+            _Option("--seed", "count", required=True),
+        ),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS, for help and for every command line
+    _read_argv leaves to it: its usage lines and messages stand as written."""
+    # Only help and refusals build it: at the top, argparse with gettext
+    # costs every run ~1.5 ms to load, and building it ~1 ms more.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Shows each value of its messages through clip(): one quoted by
+        repr(), or any other run without a space.  The subparsers that
+        add_subparsers makes share the class."""
+
+        def error(self, message: str) -> NoReturn:
+            super().error(re.sub(_VALUE, _clip_value, message))
+
+        def _print_message(self, message: str, file=None) -> None:
+            # argparse drops an OSError here, and a buffered stream would
+            # fail again at the interpreter's final flush: a failed write
+            # raises instead, for main() to map as a handler's.
+            if message:
+                file = file or sys.stderr
+                file.write(message)
+                file.flush()
+
+    kinds = {
+        "count": {"type": _nonnegative},
+        "positive": {"type": _positive},
+        "text": {},
+        "flag": {"action": "store_true"},
+    }
+    parser = _Parser(
+        prog="cover-census",
+        description="Exact and asymptotic enumeration of 2-covers and line graphs.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        subparser = commands.add_parser(name, help=command.help)
+        for option in command.options:
+            if isinstance(option.kind, tuple):
+                spec = {"choices": option.kind}
+            else:
+                spec = kinds[option.kind]
+            subparser.add_argument(
+                option.flag,
+                required=option.required,
+                default=option.default,
+                help=option.help,
+                **spec,
+            )
+        subparser.set_defaults(handler=command.handler)
+    return parser
+
+
+def _read_value(kind: str | tuple[str, ...], text: str) -> object:
+    """An option's value as argparse reads it, or None where argparse
+    might read it otherwise or refuse it."""
+    if isinstance(kind, tuple):
+        return text if text in kind else None
+    if kind == "text":
+        return text if text and text[0] != "-" else None
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # past int()'s digit limit: argparse names the length
+        return None
+    return value if value or kind == "count" else None
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a plain command line, read directly:
+    the command first, then each option at most once, spelled in full, with
+    its value as the next token; every required option present.  Its items
+    come in argparse's order: command, the options as declared, handler.
+    Any other command line gives None, and argparse reads it."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    unread = {option.flag: option for option in command.options}
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = unread.pop(flag, None)
+        if option is None:
+            return None
+        if option.kind == "flag":
+            values[option.dest] = True
+            continue
+        value = _read_value(option.kind, next(tokens, ""))
+        if value is None:
+            return None
+        values[option.dest] = value
+    if any(option.required for option in unread.values()):
+        return None
+    return SimpleNamespace(
+        command=argv[0],
+        **{o.dest: values.get(o.dest, o.default) for o in command.options},
+        handler=command.handler,
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     sys.stdout = sys.stdout or _ClosedStream()
     sys.stderr = sys.stderr or _ClosedStream()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = _read_argv(argv)
+        if args is None:
+            # Help, a refusal, or a line the direct read leaves to argparse.
+            # argparse exits on the first two; a failed write raises OSError.
+            args = build_parser().parse_args(argv, SimpleNamespace())
         code = args.handler(args)
         sys.stdout.flush()
     except ValueError as exc:

@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cover_census
 from cover_census import asymptotics, cli, errors, oracle, sequences
@@ -133,6 +135,13 @@ def child_env():
     """This environment with PYTHONPATH pointing at PACKAGE_PARENT, so a
     child interpreter runs the code under test without an install."""
     return {**os.environ, "PYTHONPATH": PACKAGE_PARENT}
+
+
+def buffering_envs():
+    """child_env() without PYTHONUNBUFFERED, where a failed write sits in
+    the buffer until a flush, and with it, where the write itself fails."""
+    buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    return buffered, {**buffered, "PYTHONUNBUFFERED": "1"}
 
 
 def console_script_from_pyproject(tmp_path):
@@ -1125,6 +1134,120 @@ class TestErrorBoundary:
         assert capsys.readouterr() == ("", "cover-census: error: boom\n")
 
 
+# Values the direct read must leave to argparse, whichever option they
+# follow: help, abbreviations, attached values, a negative or non-ASCII
+# count, an empty text, an option as a value, and a count past int()'s
+# digit limit.
+HOSTILE_TOKENS = [
+    "-h", "--max", "--n=5", "--", "-5", "", "\u0663", "--slow", "x", "1" * 5000
+]
+
+
+def plain_values(option):
+    if isinstance(option.kind, tuple):
+        return list(option.kind)
+    return {"count": ["0", "3", "007"], "positive": ["0", "2", "12"]}.get(
+        option.kind, ["out.csv", "table"]
+    )
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly plain command lines of the declared grammar, with options
+    dropped, repeated or given hostile values, and hostile tokens mixed in."""
+    hostile = st.sampled_from(HOSTILE_TOKENS)
+    odds = st.integers(0, 9)  # one in ten is hostile
+    name = draw(st.sampled_from([*cli._COMMANDS, "tabl", "-h", ""]))
+    argv = [name]
+    if name in cli._COMMANDS:
+        for option in draw(st.permutations(cli._COMMANDS[name].options)):
+            for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+                argv.append(option.flag)
+                if option.kind != "flag":
+                    plain = st.sampled_from(plain_values(option))
+                    argv.append(draw(hostile if draw(odds) == 0 else plain))
+    if draw(odds) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(hostile))
+    return argv
+
+
+# Every command line a test pins the output of, by a short name.
+PLAIN_COMMAND_LINES = {
+    **{argv: argv for argv in OUTPUT_DIGESTS},
+    **{name: argv for name, (argv, _) in REFUSALS.items()},
+    **{f"every-{argv[0]}": " ".join(argv) for argv in EVERY_COMMAND},
+}
+
+
+class TestDirectRead:
+    # main() reads a plain command line without argparse; every namespace
+    # the direct read returns must be the one argparse makes, items in order.
+    PARSER = cli.build_parser()
+
+    def assert_agrees(self, argv):
+        read = cli._read_argv(argv)
+        if read is not None:
+            try:
+                parsed = self.PARSER.parse_args(argv)
+            except SystemExit:  # which hypothesis would not report as a failure
+                raise AssertionError(f"argparse refuses {argv}") from None
+            assert list(vars(read).items()) == list(vars(parsed).items())
+        return read
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_agrees_with_argparse(self, argv):
+        self.assert_agrees(argv)
+
+    @pytest.mark.parametrize(
+        "argv", PLAIN_COMMAND_LINES.values(), ids=PLAIN_COMMAND_LINES
+    )
+    def test_reads_every_pinned_command_line(self, argv):
+        assert self.assert_agrees(argv.split()) is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["oracle", "--n", "3", "-h"],
+            ["oracle", "--n", "3", "--n", "3"],
+            ["oracle", "--n", "3", "--slow", "--slow"],
+            ["oracle", "--n=3"],
+            ["table", "--max", "3"],
+            ["table", "--max-n", "3", "--format", "CSV"],
+            ["table", "--max-n", "\u0663"],
+            ["table", "--max-n", "-3"],
+            ["table", "--max-n", "1" * 5000],
+            ["table", "--max-n", "3", "--out", "-"],
+            ["table", "--max-n", "3", "--out", ""],
+            ["table", "--max-n", "3", "--out"],
+            ["table", "--format", "json"],
+            ["sample", "--n", "0", "--stat", "p-x0", "--trials", "10", "--seed", "1"],
+        ],
+        ids=[
+            "empty",
+            "help",
+            "late-help",
+            "repeated",
+            "repeated-flag",
+            "attached",
+            "abbreviated",
+            "choice-case",
+            "non-ascii",
+            "negative",
+            "past-digit-limit",
+            "dash-text",
+            "empty-text",
+            "missing-value",
+            "missing-required",
+            "zero-positive",
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_argv(argv) is None
+
+
 class TestClip:
     # errors.clip is how every refusal above shows a value; these pin its
     # boundary at 40 characters and its two fallbacks directly.
@@ -1202,8 +1325,7 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv", EVERY_COMMAND)
     def test_unwritable_stdout_is_usage_error(self, argv):
         # Buffered stdout fails at the final flush, unbuffered at the write.
-        buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
-        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        for env in buffering_envs():
             with open("/dev/full", "w") as full:
                 result = subprocess.run(
                     [sys.executable, "-m", "cover_census", *argv],
@@ -1218,6 +1340,62 @@ class TestProcessLevel:
             )
             assert "Traceback" not in result.stderr
             assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("sample", "-h")], ids=["root", "sample"]
+    )
+    def test_help_to_unwritable_stdout_is_usage_error(self, argv):
+        # argparse drops a failed write of its help and exits 0, and a
+        # buffered stdout then fails at the final flush with exit code 120.
+        command = [sys.executable, "-m", "cover_census", *argv]
+        for env in buffering_envs():
+            with open("/dev/full", "w") as full:
+                filled = subprocess.run(
+                    command, stdout=full, stderr=subprocess.PIPE, text=True, env=env
+                )
+            closed = subprocess.run(
+                command,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                preexec_fn=lambda: os.close(1),
+            )
+            for result, reason in (
+                (filled, "No space left on device"),
+                (closed, "Bad file descriptor"),
+            ):
+                assert (result.returncode, result.stderr) == (
+                    2,
+                    f"cover-census: error: cannot write output: {reason}\n",
+                )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+    @pytest.mark.parametrize(
+        "argv",
+        [("tabl",), ("table",), ("table", "--max-n", "1", "--format", "xml")],
+        ids=["command", "missing", "choice"],
+    )
+    def test_usage_error_to_unwritable_stderr_exits_2(self, argv):
+        # argparse drops a failed write of its message, and a buffered
+        # stderr then fails at the final flush with exit code 120.
+        command = [sys.executable, "-m", "cover_census", *argv]
+        for env in buffering_envs():
+            with open("/dev/full", "w") as full:
+                filled = subprocess.run(
+                    command, stdout=subprocess.PIPE, stderr=full, text=True, env=env
+                )
+            closed = subprocess.run(
+                command,
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+                preexec_fn=lambda: os.close(2),
+            )
+            for result in (filled, closed):
+                assert (result.returncode, result.stdout) == (2, "")
 
     @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
     @pytest.mark.parametrize("argv", EVERY_COMMAND)
@@ -1241,8 +1419,7 @@ class TestProcessLevel:
         # stdout; a buffered one keeps the bytes it could not write, and the
         # interpreter's final flush would fail on them with exit code 120.
         argv = [sys.executable, "-m", "cover_census", "asymptotics", "--max-n", "16"]
-        buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
-        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        for env in buffering_envs():
             closed = subprocess.run(
                 argv,
                 stdout=subprocess.PIPE,
@@ -1264,8 +1441,7 @@ class TestProcessLevel:
         # stdout's buffer; the CSV must still arrive in full.
         argv = ("asymptotics", "--max-n", "16")
         expected = run_cli(*argv).stdout
-        buffered = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
-        for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        for env in buffering_envs():
             with open("/dev/full", "w") as full:
                 result = subprocess.run(
                     [sys.executable, "-m", "cover_census", *argv],

@@ -101,6 +101,32 @@ def test_oracle_and_sample_runs_skip_the_report(command):
     assert not cli_import_loads("cover_census.asymptotics", command)
 
 
+@pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "",
+        "oracle --n 3",
+        "table --max-n 3",
+        "sample --n 2 --stat p-x0 --trials 10 --seed 1",
+    ],
+)
+def test_plain_command_lines_skip_argparse(module, command):
+    # main() reads a plain command line itself; argparse, and the gettext
+    # and locale its first message loads, are for help and refusals.
+    assert not cli_import_loads(module, command)
+
+
+def test_usage_error_still_builds_argparse():
+    out = run_fresh(
+        "import cover_census.cli\ntry:\n"
+        "    cover_census.cli.main(['table', '--max-n', '1', '--format', 'xml'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)"
+    )
+    assert out == "2 True\n"
+
+
 def test_asymptotics_runs_in_a_fresh_process(capsys):
     # The report is imported inside its handler, so a fresh run must find it.
     command = ["asymptotics", "--max-n", "8"]
