@@ -62,9 +62,10 @@ if TYPE_CHECKING:
 
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
-# full_table(256) takes 26-40 s on a 2-core host, 98% of it in the loop
-# over block counts of restricted_proper_sequence, and the cost grows faster
-# than N^4, so larger exact tables are announced on stderr before they start.
+# full_table(256) takes 22-26 s in a fresh process on a 2-core Xeon host
+# (six runs), 98% of it in the loop over block counts of
+# restricted_proper_sequence, and the cost grows faster than N^4, so larger
+# exact tables are announced on stderr before they start.
 _ANNOUNCE_ABOVE_N = 256
 
 # A full draw costs 0.38-0.48 us per element of [2n] at n = 100 and

@@ -1134,10 +1134,9 @@ class TestErrorBoundary:
         assert capsys.readouterr() == ("", "cover-census: error: boom\n")
 
 
-# Values the direct read must leave to argparse, whichever option they
-# follow: help, abbreviations, attached values, a negative or non-ASCII
-# count, an empty text, an option as a value, and a count past int()'s
-# digit limit.
+# Tokens for the hostile draws: help, an abbreviation, an attached value,
+# a bare "--", a negative and a non-ASCII count, an empty value, a flag, a
+# stray word and a count past int()'s digit limit.
 HOSTILE_TOKENS = [
     "-h", "--max", "--n=5", "--", "-5", "", "\u0663", "--slow", "x", "1" * 5000
 ]
@@ -1154,8 +1153,9 @@ def plain_values(option):
 @st.composite
 def command_lines(draw):
     """Mostly plain command lines of the declared grammar, with options
-    dropped, repeated or given hostile values, and hostile tokens mixed in."""
-    hostile = st.sampled_from(HOSTILE_TOKENS)
+    dropped, repeated or given hostile or missing values, and hostile
+    tokens mixed in."""
+    hostile = st.sampled_from([*HOSTILE_TOKENS, None])  # None: no value
     odds = st.integers(0, 9)  # one in ten is hostile
     name = draw(st.sampled_from([*cli._COMMANDS, "tabl", "-h", ""]))
     argv = [name]
@@ -1165,9 +1165,12 @@ def command_lines(draw):
                 argv.append(option.flag)
                 if option.kind != "flag":
                     plain = st.sampled_from(plain_values(option))
-                    argv.append(draw(hostile if draw(odds) == 0 else plain))
-    if draw(odds) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(hostile))
+                    value = draw(hostile if draw(odds) == 0 else plain)
+                    if value is not None:
+                        argv.append(value)
+    token = draw(hostile) if draw(odds) == 0 else None
+    if token is not None:
+        argv.insert(draw(st.integers(0, len(argv))), token)
     return argv
 
 
@@ -1298,7 +1301,7 @@ class TestOutputDigests:
 
     @pytest.mark.slow
     def test_table_256_digest(self, capsys):
-        # Rows 129..256 are pinned nowhere else; this takes 25-40 s.
+        # Rows 129..256 are pinned nowhere else; this takes about 25 s.
         assert main(["table", "--max-n", "256"]) == 0
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == (
