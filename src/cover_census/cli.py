@@ -14,8 +14,15 @@ maps: a refusal is a ``ValueError``, a failed check a
 
 The grammar is declared once, in ``_COMMANDS``.  ``main()`` reads a plain
 command line of it directly; help and every other command line go to the
-argparse parser ``build_parser()`` makes of the same declaration, whose
-usage lines and messages stand.
+argparse parser that ``usage.build_parser()`` makes of the same
+declaration, whose usage lines and messages stand.
+
+Every run compiles what it loads, so at the top this module imports only
+what every command uses, and what the package root loads for its exports
+anyway: ``oracle`` and ``sequences``, with ``series`` and
+``combinatorics``.  Every other module loads inside the code that calls
+it: ``sampler`` in ``sample``, ``asymptotics`` in ``asymptotics``, ``csv``
+in the CSV writer and ``usage`` for help and refusals.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,7 +40,6 @@ from typing import (
     Callable,
     Iterable,
     NamedTuple,
-    NoReturn,
     Sequence,
 )
 
@@ -48,17 +53,10 @@ from .combinatorics import (
 )
 from .errors import ConsistencyError, clip
 from .oracle import DEFAULT_ORACLE_LIMIT, oracle_counts
-from .sampler import (
-    Estimate,
-    SamplerConfig,
-    estimate_collision_probability,
-    estimate_separation_probability,
-    estimate_twin_moment,
-)
 from .sequences import collision_histogram_route, full_table
 
 if TYPE_CHECKING:
-    import argparse
+    from .sampler import Estimate, SamplerConfig
 
 TABLE_FIELDS = ("n", "s", "t", "u", "v", "l", "bell2n")
 
@@ -74,52 +72,6 @@ _ANNOUNCE_ABOVE_N = 256
 # more.  A p-x0 draw stops at its first merged twin pair and costs about
 # half that at n >= 100, so the threshold is conservative for it.
 _ANNOUNCE_ABOVE_ELEMENTS = 10**8
-
-
-def _nonnegative(text: str) -> int:
-    """Read a count for argparse.  A refusal shows the text stripped, as
-    int() read it, so the parser's rule for runs without a space bounds it."""
-    from argparse import ArgumentTypeError  # loaded: only argparse calls this
-
-    try:
-        value = int(text)
-    except ValueError as exc:
-        # int() refuses a well-formed literal only above its digit limit.
-        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
-            digits = sum(c.isdecimal() for c in text)
-            raise ArgumentTypeError(f"too large: {digits} digits") from exc
-        raise ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 0:
-        raise ArgumentTypeError(f"must be >= 0: {text.strip()}")
-    return value
-
-
-def _positive(text: str) -> int:
-    from argparse import ArgumentTypeError
-
-    value = _nonnegative(text)
-    if value == 0:
-        raise ArgumentTypeError(f"must be >= 1: {text.strip()}")
-    return value
-
-
-# A value quoted as repr() writes it, or any other run without a space;
-# re.sub compiles it on first use.
-_VALUE = r"""(['"])((?:\\.|(?!\1)[^\\])*)\1|\S+"""
-
-
-def _clip_value(match: re.Match[str]) -> str:
-    if match[2] is None:  # an unquoted run, such as an unrecognized argument
-        return clip(match[0])
-    import ast  # only on a usage error: at the top it costs every run ~2 ms
-    import contextlib
-    import warnings
-    text = match[2]  # kept as written if the user, not repr(), quoted it
-    with warnings.catch_warnings(), contextlib.suppress(SyntaxError):
-        warnings.simplefilter("error")  # so an escape repr() never writes fails
-        text = ast.literal_eval(match[0])
-    # A value that clip() shows whole keeps its quotes as repr() wrote them.
-    return match[0] if clip(text) == text else clip(text, quote=True)
 
 
 class _ClosedStream(io.TextIOBase):
@@ -288,6 +240,12 @@ def _statistic(
     under it.  Every exact value is a Bell-number formula: the moment and
     its variance, the separation count, and for p-collision one minus the
     image-distinct count over B_{2n}."""
+    from .sampler import (
+        estimate_collision_probability,
+        estimate_separation_probability,
+        estimate_twin_moment,
+    )
+
     n = args.n
     if args.stat == "moment":
         return (
@@ -320,6 +278,9 @@ def _cmd_sample(args: SimpleNamespace) -> int:
             f"--n {clip(args.n)} needs partitions of [{clip(2 * args.n)}], "
             f"above the Bell cap {DEFAULT_BELL_CAP}"
         )
+    # Only this command draws, so the others never compile the sampler.
+    from .sampler import SamplerConfig
+
     config = SamplerConfig(trials=args.trials, seed=args.seed)
     elements = args.trials * 2 * args.n
     if elements > _ANNOUNCE_ABOVE_ELEMENTS:
@@ -382,7 +343,7 @@ class _Command(NamedTuple):
 
 _FORMATS = ("csv", "json")
 
-# The grammar, declared once: build_parser() gives it to argparse, and
+# The grammar, declared once: usage.build_parser() gives it to argparse, and
 # _read_argv() reads a plain command line of it directly.
 _COMMANDS = {
     "table": _Command(
@@ -427,59 +388,6 @@ _COMMANDS = {
         ),
     ),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of _COMMANDS, for help and for every command line
-    _read_argv leaves to it: its usage lines and messages stand as written."""
-    # Only help and refusals build it: at the top, argparse with gettext
-    # costs every run ~1.5 ms to load, and building it ~1 ms more.
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """Shows each value of its messages through clip(): one quoted by
-        repr(), or any other run without a space.  The subparsers that
-        add_subparsers makes share the class."""
-
-        def error(self, message: str) -> NoReturn:
-            super().error(re.sub(_VALUE, _clip_value, message))
-
-        def _print_message(self, message: str, file=None) -> None:
-            # argparse drops an OSError here, and a buffered stream would
-            # fail again at the interpreter's final flush: a failed write
-            # raises instead, for main() to map as a handler's.
-            if message:
-                file = file or sys.stderr
-                file.write(message)
-                file.flush()
-
-    kinds = {
-        "count": {"type": _nonnegative},
-        "positive": {"type": _positive},
-        "text": {},
-        "flag": {"action": "store_true"},
-    }
-    parser = _Parser(
-        prog="cover-census",
-        description="Exact and asymptotic enumeration of 2-covers and line graphs.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        subparser = commands.add_parser(name, help=command.help)
-        for option in command.options:
-            if isinstance(option.kind, tuple):
-                spec = {"choices": option.kind}
-            else:
-                spec = kinds[option.kind]
-            subparser.add_argument(
-                option.flag,
-                required=option.required,
-                default=option.default,
-                help=option.help,
-                **spec,
-            )
-        subparser.set_defaults(handler=command.handler)
-    return parser
 
 
 def _read_value(kind: str | tuple[str, ...], text: str) -> object:
@@ -539,6 +447,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args is None:
             # Help, a refusal, or a line the direct read leaves to argparse.
             # argparse exits on the first two; a failed write raises OSError.
+            from .usage import build_parser
+
             args = build_parser().parse_args(argv, SimpleNamespace())
         code = args.handler(args)
         sys.stdout.flush()

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cover_census
-from cover_census import asymptotics, cli, errors, oracle, sequences
+from cover_census import asymptotics, cli, errors, oracle, sampler, sequences, usage
 from cover_census.asymptotics import asymptotic_report
 from cover_census.cli import main
 from cover_census.combinatorics import merged_twin_moment_variance
@@ -260,7 +260,7 @@ HANDLER_CALLS = {
 def choice_arguments():
     """The subcommand, and every option with choices of every subcommand,
     read off build_parser() so that a new one is covered."""
-    parser = cli.build_parser()
+    parser = usage.build_parser()
     (commands,) = [action for action in parser._actions if action.dest == "command"]
     arguments = {"command": ()}
     for command, subparser in commands.choices.items():
@@ -899,7 +899,7 @@ class TestSampleCommand:
         def estimate(n, r, config):
             return Estimate(1.0, 0.0)
 
-        monkeypatch.setattr(cli, "estimate_twin_moment", estimate)
+        monkeypatch.setattr(sampler, "estimate_twin_moment", estimate)
         argv = ["sample", "--n", "512", "--stat", "moment", "--r", "0"]
         assert main(argv + ["--trials", str(trials), "--seed", "1"]) == 0
         elements = trials * 1024
@@ -1076,8 +1076,8 @@ class TestErrorBoundary:
             env=child_env(),
         )
         assert (result.returncode, result.stdout) == (2, "")
-        usage, error = result.stderr.splitlines()
-        assert usage.startswith("usage: cover-census ")
+        usage_line, error = result.stderr.splitlines()
+        assert usage_line.startswith("usage: cover-census ")
         assert error == (
             "cover-census: error: unrecognized arguments: '\\q' '\\x' '"
             + "z" * 40
@@ -1185,7 +1185,7 @@ PLAIN_COMMAND_LINES = {
 class TestDirectRead:
     # main() reads a plain command line without argparse; every namespace
     # the direct read returns must be the one argparse makes, items in order.
-    PARSER = cli.build_parser()
+    PARSER = usage.build_parser()
 
     def assert_agrees(self, argv):
         read = cli._read_argv(argv)

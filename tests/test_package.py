@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cover_census
-from cover_census import cli
+from cover_census import cli, usage
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -88,9 +88,24 @@ def test_cli_import_skips_ast():
 )
 def test_cli_import_skips_what_no_benchmarked_command_runs(module):
     # Every command compiles what it loads, with no bytecode cache in the
-    # benchmark: only asymptotics reads the report, only the tests fold
-    # partitions set by set, and only table and asymptotics write CSV.
+    # benchmark, so a module loads in the code that calls it: only
+    # asymptotics reads the report, only the tests fold partitions set by
+    # set, and only table and asymptotics write CSV.  The sampler and the
+    # argparse fallback, which benchmarked commands do load, are pinned below.
     assert not cli_import_loads(module)
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("", False),
+        ("oracle --n 3", False),
+        ("table --max-n 3", False),
+        ("sample --n 2 --stat p-x0 --trials 10 --seed 1", True),
+    ],
+)
+def test_only_sample_loads_the_sampler(command, loaded):
+    assert cli_import_loads("cover_census.sampler", command) is loaded
 
 
 @pytest.mark.parametrize(
@@ -101,7 +116,9 @@ def test_oracle_and_sample_runs_skip_the_report(command):
     assert not cli_import_loads("cover_census.asymptotics", command)
 
 
-@pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
+@pytest.mark.parametrize(
+    "module", ["argparse", "gettext", "locale", "cover_census.usage"]
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -112,8 +129,9 @@ def test_oracle_and_sample_runs_skip_the_report(command):
     ],
 )
 def test_plain_command_lines_skip_argparse(module, command):
-    # main() reads a plain command line itself; argparse, and the gettext
-    # and locale its first message loads, are for help and refusals.
+    # main() reads a plain command line itself; argparse, the gettext and
+    # locale its first message loads, and the module that builds the
+    # parser are for help and refusals.
     assert not cli_import_loads(module, command)
 
 
@@ -127,6 +145,19 @@ def test_usage_error_still_builds_argparse():
     assert out == "2 True\n"
 
 
+@pytest.mark.parametrize(
+    "command, code", [("--help", 0), ("table --max-n 1 --format xml", 2)]
+)
+def test_help_and_refusals_load_usage(command, code):
+    out = run_fresh(
+        f"import cover_census.cli\ntry:\n"
+        f"    cover_census.cli.main({command.split()!r})\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'cover_census.usage' in sys.modules)"
+    )
+    assert out.splitlines()[-1] == f"{code} True"
+
+
 def test_asymptotics_runs_in_a_fresh_process(capsys):
     # The report is imported inside its handler, so a fresh run must find it.
     command = ["asymptotics", "--max-n", "8"]
@@ -137,6 +168,34 @@ def test_asymptotics_runs_in_a_fresh_process(capsys):
         env={**os.environ, "PYTHONPATH": PACKAGE_PARENT},
     )
     assert cli.main(command) == result.returncode == 0
+    assert capsys.readouterr() == (result.stdout, result.stderr)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "sample --n 2 --stat p-x0 --trials 10 --seed 1",
+        "sample --n 2 --stat moment --r 1 --trials 10 --seed 1",
+        "sample --n 2 --stat p-collision --trials 10 --seed 1",
+        "--help",
+        "sample --help",
+    ],
+)
+def test_lazy_imports_resolve_in_a_fresh_process(capsys, monkeypatch, command):
+    # The sampler and the parser load inside main(), so a fresh run must
+    # find them without an earlier test having loaded them.
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal's width
+    result = subprocess.run(
+        [sys.executable, "-m", "cover_census", *command.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": PACKAGE_PARENT},
+    )
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:  # argparse exits after help
+        code = exc.code
+    assert code == result.returncode
     assert capsys.readouterr() == (result.stdout, result.stderr)
 
 
@@ -328,7 +387,7 @@ def string_constants(source):
 
 def stat_choices():
     """The ``--stat`` choices of ``sample``, read off build_parser()."""
-    parser = cli.build_parser()
+    parser = usage.build_parser()
     (commands,) = [action for action in parser._actions if action.dest == "command"]
     (stat,) = [
         action
