@@ -19,10 +19,10 @@ declaration, whose usage lines and messages stand.
 
 Every run compiles what it loads, so at the top this module imports only
 what every command uses, and what the package root loads for its exports
-anyway: ``oracle`` and ``sequences``, with ``series`` and
-``combinatorics``.  Every other module loads inside the code that calls
-it: ``sampler`` in ``sample``, ``asymptotics`` in ``asymptotics``, ``csv``
-in the CSV writer and ``usage`` for help and refusals.
+anyway: ``oracle``, ``sequences`` and ``combinatorics``.  Every other
+module loads inside the code that calls it: ``sampler`` in ``sample``,
+``asymptotics`` in ``asymptotics``, ``csv`` in the CSV writer and
+``usage`` for help and refusals.  No command loads ``series``.
 """
 
 from __future__ import annotations

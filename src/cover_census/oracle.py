@@ -14,7 +14,7 @@ merging partial partitions whose folded blocks agree.
 Everything here is exhaustive and independent of the generating-function
 pipeline, so agreement between the two is strong evidence of correctness.
 Sizes are capped by an explicit limit.  The set-based reference the tests
-check the scan against, one partition at a time, is ``partitions``.
+check the scan against, one partition at a time, is ``tests/partitions.py``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ def _full_scan(n: int) -> tuple[tuple[int, ...], int, Iterator[tuple]]:
     three elements) are disjoint components.  ``triangle_free`` says the
     cover is restricted, x or y is a mask of each state triangle, and x, y
     are not singletons {i}, {j} with {i, j} a block (a triangle through n).
-    ``partitions.classify_partition`` checks this pass leaf by leaf.
+    ``classify_partition`` in ``tests/partitions.py`` checks this pass leaf
+    by leaf.
     """
     if n == 0:  # the empty partition, separated, folds to the empty cover
         return (1,), 1, iter([((), 0, 0, 1, 0, 0, True)])

@@ -10,7 +10,7 @@ five sequences computed here are
   size two or more breaks restrictedness, so only singleton blocks repeat),
 * ``t``: proper 2-covers, ``s``: all 2-covers,
 * ``l``: restricted 2-covers with no triangle component, one per class
-  modulo the triangle/star exchange (see line_transform).
+  modulo the triangle/star exchange (see _line_counts).
 
 Everything flows from ``v``.  Adjoining repeated singleton blocks gives the
 binomial transform to ``u``; substituting e^x - 1 (equivalently, applying
@@ -25,7 +25,6 @@ from typing import NamedTuple, Sequence
 
 from .combinatorics import DEFAULT_BELL_CAP, bell, separated_partitions, stirling2
 from .errors import ConsistencyError, clip
-from .series import PowerSeries
 
 # Degree cap of the U(e^x - 1) and V(e^x - 1) compositions, which cost
 # O(N^3) exact operations.  full_table() does not compose; only
@@ -178,6 +177,31 @@ def stirling_transform(values: Sequence[int]) -> list[int]:
     ]
 
 
+def egf_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Multiply two EGFs of equal length: c_n = sum_k C(n, k) a_k b_(n-k)."""
+    return [
+        sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1) if a[k])
+        for n in range(len(a))
+    ]
+
+
+def egf_exp(a: Sequence[int]) -> list[int]:
+    """Exponential of an EGF with zero constant term, to the same length.
+
+    Uses e_n = sum_k C(n-1, k-1) a_k e_(n-k), the exponential formula:
+    the block holding element n has some size k and the other n - k
+    elements form the rest of the structure.
+    """
+    if a[0] != 0:
+        raise ValueError("exp() requires a zero constant term")
+    out = [1]
+    for n in range(1, len(a)):
+        out.append(
+            sum(comb(n - 1, k - 1) * a[k] * out[n - k] for k in range(1, n + 1) if a[k])
+        )
+    return out
+
+
 def _require_equal(route: str, expected: Sequence[int], actual: Sequence[int]) -> None:
     """Raise ConsistencyError at the first n where two routes' counts differ."""
     for n, (a, b) in enumerate(zip(expected, actual, strict=True)):
@@ -185,8 +209,8 @@ def _require_equal(route: str, expected: Sequence[int], actual: Sequence[int]) -
             raise ConsistencyError(f"{route}: first mismatch at n={n}: {a} vs {b}")
 
 
-def line_transform(v_series: PowerSeries) -> list[int]:
-    """Line-graph counts from the restricted-proper EGF.
+def _line_counts(v: Sequence[int], u: Sequence[int]) -> list[int]:
+    """Line-graph counts from v, checked against u, its binomial transform.
 
     A graph with n labelled edges and no isolated vertices is the same
     thing as a restricted 2-cover of the edge set (each vertex contributes
@@ -195,8 +219,8 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     triangle component is x^3/3! in the exponential formula, so the factor
     exp(-x^3/6) removes the triangle components from U(x) = V(x) e^x.  The
     counts are the one product exp(x - x^3/6) * V(x), checked against
-    exp(-x^3/6) * U(x) as an integer sum over u, the binomial transform of
-    v, that shares no code with PowerSeries:
+    exp(-x^3/6) * U(x) as an integer sum over u that shares no code with
+    egf_product or egf_exp:
 
         l_n = sum_j C(n, 3j) w_j u_(n - 3j),  w_j = (-1)^j (3j)! / (6^j j!),
 
@@ -210,22 +234,27 @@ def line_transform(v_series: PowerSeries) -> list[int]:
     components admit further labelled root collisions, such as a pendant
     edge on a triangle folding into the same diamond two ways.
     """
-    degree = v_series.degree
-    line = PowerSeries.from_sequence([0, 1, 0, -1], degree).exp() * v_series
-    u = binomial_transform(v_series.terms)
+    degree = len(v) - 1
+    line = egf_product(egf_exp(([0, 1, 0, -1] + [0] * degree)[: degree + 1]), v)
     weights = [1]
     for j in range(1, degree // 3 + 1):
         weights.append(-comb(3 * j - 1, 2) * weights[-1])
     _require_equal(
         "line-graph series routes (exp(x - x^3/6) * V vs exp(-x^3/6) * U"
         " as an integer sum over u)",
-        line.terms,
+        line,
         [
             sum(comb(n, 3 * j) * weights[j] * u[n - 3 * j] for j in range(n // 3 + 1))
             for n in range(degree + 1)
         ],
     )
-    return list(line.terms)
+    return line
+
+
+def line_transform(v_series) -> list[int]:
+    """Line-graph counts from the restricted-proper EGF, a PowerSeries of v."""
+    v = v_series.terms
+    return _line_counts(v, binomial_transform(v))
 
 
 class TableRow(NamedTuple):
@@ -302,8 +331,8 @@ def full_table(max_n: int) -> SequenceTable:
     * u and s: s as the Stirling transform of u against T * Bell EGF,
       whose terms come from the Bell triangle;
     * l: exp(x - x^3/6) * V against exp(-x^3/6) * U as an integer sum
-      over u, which shares no code with PowerSeries (inside
-      line_transform), and l <= u.
+      over u, which shares no code with egf_product or egf_exp (inside
+      _line_counts), and l <= u.
 
     Row 0 needs no check of its own: the spot check pins v_0 = 1, and
     every transform and product copies its n = 0 term.
@@ -332,15 +361,13 @@ def full_table(max_n: int) -> SequenceTable:
         _separated_route(t),
     )
     s = stirling_transform(u)
-    l = line_transform(PowerSeries.from_sequence(v, max_n))
-
     # The Bell triangle behind bell() shares no code with the Stirling table.
-    bell_egf = PowerSeries.from_sequence([bell(n) for n in range(max_n + 1)], max_n)
     _require_equal(
         "plain-cover route (Stirling transform of u vs T * Bell EGF)",
         s,
-        (PowerSeries.from_sequence(t, max_n) * bell_egf).terms,
+        egf_product(t, [bell(n) for n in range(max_n + 1)]),
     )
+    l = _line_counts(v, u)
 
     rows = []
     for n in range(max_n + 1):

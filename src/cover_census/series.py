@@ -5,7 +5,9 @@ the coefficient of x^n: the n-th value of the sequence the EGF counts.
 All arithmetic truncates at degree N.  In this form products, exponentials
 and compositions are binomial convolutions with no division (Flajolet and
 Sedgewick, Analytic Combinatorics, ch. II), so integer terms stay integers;
-rational terms work too.
+rational terms work too.  Products and exponentials are the formula route's
+own ``sequences.egf_product`` and ``sequences.egf_exp``; no command loads
+this module.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from math import comb
 from numbers import Rational
 from typing import Sequence
+
+from .sequences import egf_exp, egf_product
 
 
 class PowerSeries:
@@ -77,39 +81,15 @@ class PowerSeries:
         )
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        """Binomial convolution c_n = sum_k C(n, k) a_k b_(n-k)."""
+        """Binomial convolution c_n = sum_k C(n, k) a_k b_(n-k) (egf_product)."""
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._require_same_degree(other)
-        a, b = self.terms, other.terms
-        return PowerSeries(
-            self.degree,
-            tuple(
-                sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1) if a[k])
-                for n in range(self.degree + 1)
-            ),
-        )
+        return PowerSeries(self.degree, tuple(egf_product(self.terms, other.terms)))
 
     def exp(self) -> "PowerSeries":
-        """Exponential of a series with zero constant term.
-
-        Uses e_n = sum_k C(n-1, k-1) a_k e_(n-k), the exponential formula:
-        the block holding element n has some size k and the other n - k
-        elements form the rest of the structure.
-        """
-        a = self.terms
-        if a[0] != 0:
-            raise ValueError("exp() requires a zero constant term")
-        out = [1]
-        for n in range(1, self.degree + 1):
-            out.append(
-                sum(
-                    comb(n - 1, k - 1) * a[k] * out[n - k]
-                    for k in range(1, n + 1)
-                    if a[k]
-                )
-            )
-        return PowerSeries(self.degree, tuple(out))
+        """Exponential of a series with zero constant term (egf_exp)."""
+        return PowerSeries(self.degree, tuple(egf_exp(self.terms)))
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute ``inner`` (zero constant term) into this series.

@@ -26,13 +26,13 @@ from cover_census.oracle import (
     oracle_line_class_count,
     oracle_line_count,
 )
-from cover_census.partitions import (
+from cover_census.sequences import collision_histogram_route, full_table
+from partitions import (
     SetPartition,
     TwoCover,
     classify_partition,
     enumerate_partitions,
 )
-from cover_census.sequences import collision_histogram_route, full_table
 
 # Distinct line-graph images stay strictly below the line-class count, the
 # restricted covers with no triangle component, from n = 4 on.  Each

@@ -1,10 +1,11 @@
 """Tests for the package's export list, the README example that uses it,
-the modules the CLI imports, the absence of unused imports and of unused
-private names, the modules that name the Bell cap and the ``--stat``
-choices, the sampler's one reader of the merged-twin count, and the
-formula route's integer-only imports."""
+the modules the CLI imports, the absence of unused imports, of unused
+private names and of public names nothing runs, the modules that name the
+Bell cap and the ``--stat`` choices, the sampler's one reader of the
+merged-twin count, and the formula route's integer-only imports."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -84,15 +85,22 @@ def test_cli_import_skips_ast():
 
 
 @pytest.mark.parametrize(
-    "module", ["cover_census.asymptotics", "cover_census.partitions", "csv"]
+    "module", ["cover_census.asymptotics", "cover_census.series", "csv"]
 )
 def test_cli_import_skips_what_no_benchmarked_command_runs(module):
     # Every command compiles what it loads, with no bytecode cache in the
     # benchmark, so a module loads in the code that calls it: only
-    # asymptotics reads the report, only the tests fold partitions set by
-    # set, and only table and asymptotics write CSV.  The sampler and the
-    # argparse fallback, which benchmarked commands do load, are pinned below.
+    # asymptotics reads the report, only the tests and the benchmark's
+    # replay build PowerSeries, and only table and asymptotics write CSV.
+    # The sampler and the argparse fallback, which benchmarked commands do
+    # load, are pinned below.
     assert not cli_import_loads(module)
+
+
+def test_package_has_no_partitions_module():
+    # The set-based reference that folds partitions set by set runs in the
+    # tests only, so it lives there: tests/partitions.py.
+    assert importlib.util.find_spec("cover_census.partitions") is None
 
 
 @pytest.mark.parametrize(
@@ -117,7 +125,8 @@ def test_oracle_and_sample_runs_skip_the_report(command):
 
 
 @pytest.mark.parametrize(
-    "module", ["argparse", "gettext", "locale", "cover_census.usage"]
+    "module",
+    ["argparse", "gettext", "locale", "cover_census.usage", "cover_census.series"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -131,7 +140,8 @@ def test_oracle_and_sample_runs_skip_the_report(command):
 def test_plain_command_lines_skip_argparse(module, command):
     # main() reads a plain command line itself; argparse, the gettext and
     # locale its first message loads, and the module that builds the
-    # parser are for help and refusals.
+    # parser are for help and refusals.  full_table multiplies and
+    # exponentiates integer lists, so no command loads PowerSeries either.
     assert not cli_import_loads(module, command)
 
 
@@ -274,7 +284,7 @@ def test_unloaded_private_check_sees_one():
 
 
 @pytest.mark.parametrize(
-    "path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT))
+    "path", SOURCES, ids=lambda path: str(path.relative_to(ROOT))
 )
 def test_no_unloaded_private_names(path):
     assert unloaded_private_names(path.read_text(encoding="utf-8")) == []
@@ -309,11 +319,11 @@ def test_package_import_check_sees_each_form():
 def test_oracle_shares_no_code_with_the_formula_route():
     # The exhaustive route and its set-based reference check the formula
     # pipeline, so they must not use it.
-    for module in ("oracle", "partitions"):
-        source = (ROOT / f"src/cover_census/{module}.py").read_text(encoding="utf-8")
+    for path in ("src/cover_census/oracle.py", "tests/partitions.py"):
+        source = (ROOT / path).read_text(encoding="utf-8")
         assert package_imports(source).isdisjoint(
             {"sequences", "series", "asymptotics"}
-        ), module
+        ), path
 
 
 def test_formula_route_imports_no_fractions():
@@ -348,6 +358,73 @@ def test_name_check_sees_each_form():
         "x = combinatorics.LIMIT + C\n"
     )
     assert names_read(source) == {"CAP", "C", "os", "combinatorics", "LIMIT", "x"}
+
+
+def unreached_public_names(sources, exports):
+    """Public top-level names of the modules in ``sources`` that nothing runs.
+
+    The names in ``exports`` are reached, and so is every name read by
+    module code outside the definitions and imports, such as a
+    ``__main__`` block.  A top-level definition (function, class or
+    assignment) whose name is reached reaches every name it reads.
+    """
+    reads = {}
+    reached = set(exports)
+    for source in sources:
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined = {statement.name}
+            elif isinstance(statement, ast.Assign):
+                defined = {t.id for t in statement.targets if isinstance(t, ast.Name)}
+            else:
+                defined = set()
+            found = names_read(ast.unparse(statement))
+            if not defined or any(name[:2] == "__" for name in defined):
+                reached |= found
+            for name in defined:
+                reads.setdefault(name, set()).update(found)
+    pending = list(reached)
+    while pending:
+        for name in reads.get(pending.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                pending.append(name)
+    return {name for name in reads if name[:1] != "_" and name not in reached}
+
+
+# Public names whose only caller is perfbench/replay.py, which times the
+# library's layers one call at a time.
+REPLAY_ONLY = {
+    "fiber_check",  # replay_oracle: oracle.fiber_check(n, limit=limit)
+    "FiberCheck",  # the record fiber_check returns
+    "oracle_line_count",  # replay_oracle: oracle.oracle_line_count(n, limit=limit)
+    "oracle_line_class_count",  # replay_oracle: oracle.oracle_line_class_count(...)
+    "COMPOSE_CHECK_DEGREE",  # replay_full_table: sequences.COMPOSE_CHECK_DEGREE
+    "line_transform",  # replay_full_table: sequences.line_transform(v_series)
+    "PowerSeries",  # replay_full_table: PowerSeries.from_sequence, exp, *, compose
+}
+
+
+def package_sources():
+    return [path.read_text(encoding="utf-8") for path in PACKAGE]
+
+
+def test_every_public_name_runs_outside_the_tests():
+    # A public name is a package-root export, or code reaches it from a
+    # command or an export, or the benchmark's replay calls it.
+    assert unreached_public_names(package_sources(), cover_census.__all__) == (
+        REPLAY_ONLY
+    )
+
+
+def test_public_name_check_sees_an_unused_function():
+    # The package with one more public function, which only a test of its
+    # own would call; what it calls stays reached through full_table.
+    orphan = "def orphan(v):\n    return full_table(len(v))\n"
+    found = unreached_public_names(package_sources() + [orphan], cover_census.__all__)
+    assert found == REPLAY_ONLY | {"orphan"}
 
 
 def test_bell_cap_is_named_by_the_size_rule_modules_only():

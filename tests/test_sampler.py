@@ -20,7 +20,6 @@ from cover_census.combinatorics import (
     separation_probability,
 )
 from cover_census.oracle import merged_twin_count, oracle_counts
-from cover_census.partitions import SetPartition, enumerate_partitions
 from cover_census.sampler import (
     Estimate,
     SamplerConfig,
@@ -31,6 +30,7 @@ from cover_census.sampler import (
     estimate_twin_moment,
     sample_partition,
 )
+from partitions import SetPartition, enumerate_partitions
 
 SEED = 987654321
 

@@ -11,7 +11,6 @@ from cover_census import sequences
 from cover_census.combinatorics import DEFAULT_BELL_CAP, bell, stirling2
 from cover_census.errors import ConsistencyError
 from cover_census.oracle import oracle_counts
-from cover_census.partitions import classify_partition, enumerate_partitions
 from cover_census.sequences import (
     SequenceTable,
     TableRow,
@@ -25,6 +24,7 @@ from cover_census.sequences import (
     stirling_transform,
 )
 from cover_census.series import PowerSeries
+from partitions import classify_partition, enumerate_partitions
 
 # Verified against the exhaustive oracle for n <= 6 (see test_oracle.py
 # and the acceptance suite).
@@ -299,12 +299,14 @@ class TestSequenceConsistencyMachinery:
             (sequences, "binomial_transform", 1, "plain-cover route"),
             (sequences, "stirling_transform", 1, "separated-partition route"),  # v -> t
             (sequences, "stirling_transform", 2, "plain-cover route"),  # u -> s
-            (PowerSeries, "__mul__", 1, "line-graph series routes"),
+            (sequences, "egf_product", 1, "plain-cover route"),  # T * Bell
+            (sequences, "egf_product", 2, "line-graph series routes"),
         ],
         ids=[
             "binomial",
             "stirling-v-to-t",
             "stirling-u-to-s",
+            "bell-product",
             "line-graph-product",
         ],
     )
@@ -324,8 +326,6 @@ class TestSequenceConsistencyMachinery:
             calls.append(args)
             if len(calls) != call:
                 return out
-            if isinstance(out, PowerSeries):
-                return out + PowerSeries.from_sequence([0] * k + [1], out.degree)
             out[k] += 1
             return out
 
@@ -353,27 +353,24 @@ class TestSequenceConsistencyMachinery:
     @pytest.mark.parametrize(
         "faulty_exp",
         [
-            lambda exp, f: PowerSeries(
-                f.degree, tuple((-1) ** n * e for n, e in enumerate(exp(f).terms))
-            ),
-            lambda exp, f: exp(f + f),
+            lambda exp, a: [(-1) ** n * e for n, e in enumerate(exp(a))],
+            lambda exp, a: exp([2 * x for x in a]),
         ],
         ids=["at-minus-x", "doubled-input"],
     )
     def test_line_check_catches_faulty_exp(self, monkeypatch, faulty_exp):
         # exp evaluated at -x, or at twice its input: the product form of l
-        # changes, and the integer sum over u, which runs no PowerSeries
-        # code, must disagree with it.  Two product forms that both run
-        # exp agree under the first fault.
-        original = PowerSeries.exp
-        monkeypatch.setattr(PowerSeries, "exp", lambda f: faulty_exp(original, f))
+        # changes, and the integer sum over u, which runs neither egf_exp
+        # nor egf_product, must disagree with it.  Two product forms that
+        # both run exp agree under the first fault.
+        original = sequences.egf_exp
+        monkeypatch.setattr(sequences, "egf_exp", lambda a: faulty_exp(original, a))
         with pytest.raises(ConsistencyError, match="line-graph series routes.*at n=1:"):
             full_table(8)
 
     def test_ordering_check_catches_l_above_u(self, monkeypatch):
         # l <= u is the only check that reads l once the line transform
         # has returned; an l one above u in every term must trip it.
-        u = [row.u for row in full_table(8).rows]
-        monkeypatch.setattr(sequences, "line_transform", lambda v: [x + 1 for x in u])
+        monkeypatch.setattr(sequences, "_line_counts", lambda v, u: [x + 1 for x in u])
         with pytest.raises(ConsistencyError, match="count ordering violated at n=0:"):
             full_table(8)
